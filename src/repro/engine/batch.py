@@ -434,9 +434,12 @@ class BatchExecutor:
 
     def _run_fault_lane(self, lane: BatchLane, function: str) -> LaneResult:
         compiled = self.compiled
-        if compiled.sites_stripped:
-            # Persistent-store entries carry no fault-recovery site ops;
-            # recompile from source so minimal re-setup planning works.
+        if compiled.sites_stripped or (
+            self.module is not None and compiled.source is not self.module
+        ):
+            # Minimal re-setup is planned per site op, so the sites must be
+            # the source module's own: persistent-store entries carry none,
+            # and a cache hit may carry a structurally equal module's.
             if self._site_full is None:
                 if self.module is None:
                     raise ValueError(

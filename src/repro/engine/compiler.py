@@ -116,21 +116,30 @@ class CompiledFunction:
 class CompiledModule:
     """Every defined function of one module, trace-compiled."""
 
+    #: The module whose ops the ``OP_SETUP``/``OP_LAUNCH`` tuples carry as
+    #: fault-recovery ``site`` references; None once they were stripped
+    #: (entries loaded from the persistent on-disk store).
+    source: ModuleOp | None = None
+
     def __init__(
         self,
         functions: dict[str, CompiledFunction],
         declarations: frozenset[str],
         fingerprint: str | None = None,
+        source: ModuleOp | None = None,
     ) -> None:
         self.functions = functions
         self.declarations = declarations
         #: content hash of the source module text (set by the cache layer)
         self.fingerprint = fingerprint
-        #: True when the fault-recovery ``site`` op references were removed
-        #: (entries loaded from the persistent on-disk store): fault-injected
-        #: runs must recompile instead of silently degrading minimal
-        #: re-setup planning to full re-setup.
-        self.sites_stripped = False
+        self.source = source
+
+    @property
+    def sites_stripped(self) -> bool:
+        """True when the ``site`` references were removed: fault-injected
+        runs must recompile instead of silently degrading minimal re-setup
+        planning to full re-setup."""
+        return self.source is None
 
 
 def _loc_suffix(op: Operation) -> str:
@@ -508,16 +517,15 @@ def fuse_module(
     computed from the IR, never from the instruction stream — so fusing can
     never split or alias cache entries.
     """
-    fused = CompiledModule(
+    return CompiledModule(
         {
             name: fuse_function(fn, candidates, min_run)
             for name, fn in compiled.functions.items()
         },
         compiled.declarations,
         fingerprint=compiled.fingerprint,
+        source=compiled.source,
     )
-    fused.sites_stripped = getattr(compiled, "sites_stripped", False)
-    return fused
 
 
 def fusion_candidates(
@@ -558,4 +566,4 @@ def compile_module(module: ModuleOp) -> CompiledModule:
         functions[op.sym_name] = _FunctionCompiler(
             config_feeding
         ).compile_function(op)
-    return CompiledModule(functions, frozenset(declarations))
+    return CompiledModule(functions, frozenset(declarations), source=module)

@@ -84,9 +84,11 @@ class TraceExecutor:
         self._reset_states: set[StateHandle] = set()
         self._reset_epoch: dict[str, int] = {}
         self._token_epoch: dict[LaunchToken, int] = {}
-        # (cycles, span kind) per distinct Instr, resolved once per run
-        # against this sim's cost model.
-        self._cost: dict = {}
+        # id(instr) -> (cycles, span kind, instr) per distinct Instr,
+        # resolved once per run against this sim's cost model.  Keyed by
+        # identity: the frozen dataclass hash costs a Python call per
+        # lookup, and the entry keeps the record alive so its id stays put.
+        self._cost: dict[int, tuple] = {}
 
     # -- public API ------------------------------------------------------
 
@@ -110,11 +112,11 @@ class TraceExecutor:
     # -- dispatch loop ---------------------------------------------------
 
     def _cycles_kind(self, instr):
-        entry = self._cost.get(instr)
+        entry = self._cost.get(id(instr))
         if entry is None:
             cycles = self.sim.cost_model.cycles(instr)
-            entry = (cycles, _SPAN_FOR_CATEGORY[instr.category])
-            self._cost[instr] = entry
+            entry = (cycles, _SPAN_FOR_CATEGORY[instr.category], instr)
+            self._cost[id(instr)] = entry
         return entry
 
     def _exec(self, fn: CompiledFunction, frame: list) -> list:
@@ -143,7 +145,7 @@ class TraceExecutor:
                     raise _not_int(rhs)
                 value = evaluate(None, lhs, rhs)
                 frame[dst] = value & mask if mask is not None else value
-                cycles, kind = cost(instr)
+                cycles, kind, _ = cost(instr)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -161,7 +163,7 @@ class TraceExecutor:
                 _, iv, ub, exit_target = ins
                 if frame[iv] < frame[ub]:
                     # Increment + compare&branch of the loop back-edge.
-                    cycles, kind = cost(CTRL_INSTR)
+                    cycles, kind, _ = cost(CTRL_INSTR)
                     t = sim.host_time
                     if cycles > 0:
                         spans_append(Span("host", kind, t, t + cycles, ""))
@@ -185,7 +187,7 @@ class TraceExecutor:
             if opcode == OP_CONST:
                 _, dst, value, instr = ins
                 frame[dst] = value
-                cycles, kind = cost(instr)
+                cycles, kind, _ = cost(instr)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -203,7 +205,7 @@ class TraceExecutor:
                 if not isinstance(rhs, int):
                     raise _not_int(rhs)
                 frame[dst] = int(_evaluate_predicate(predicate, lhs, rhs, width))
-                cycles, kind = cost(instr)
+                cycles, kind, _ = cost(instr)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -218,7 +220,7 @@ class TraceExecutor:
                 if not isinstance(cond, int):
                     raise _not_int(cond)
                 frame[dst] = frame[tv if cond else fv]
-                cycles, kind = cost(instr)
+                cycles, kind, _ = cost(instr)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -232,7 +234,7 @@ class TraceExecutor:
                 cond = frame[cond_slot]
                 if not isinstance(cond, int):
                     raise _not_int(cond)
-                cycles, kind = cost(CTRL_INSTR)
+                cycles, kind, _ = cost(CTRL_INSTR)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -349,7 +351,7 @@ class TraceExecutor:
                     )
                     if sim.faults is not None:
                         sim.exec_reset(handle.accelerator)
-                cycles, kind = cost(CTRL_INSTR)
+                cycles, kind, _ = cost(CTRL_INSTR)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -365,7 +367,7 @@ class TraceExecutor:
                     raise InterpreterError(
                         f"call to unknown/declared function '@{callee_name}'"
                     )
-                cycles, kind = cost(CTRL_INSTR)  # call + return jumps
+                cycles, kind, _ = cost(CTRL_INSTR)  # call + return jumps
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -398,7 +400,7 @@ class TraceExecutor:
 
             if opcode == OP_FOREIGN:
                 instr = ins[1]
-                cycles, kind = cost(instr)
+                cycles, kind, _ = cost(instr)
                 t = sim.host_time
                 if cycles > 0:
                     spans_append(Span("host", kind, t, t + cycles, ""))
@@ -447,7 +449,7 @@ class TraceExecutor:
                         if not isinstance(cond, int):
                             raise _not_int(cond)
                         frame[dst] = frame[tv if cond else fv]
-                    cycles, kind = cost(instr)
+                    cycles, kind, _ = cost(instr)
                     t = sim.host_time
                     if cycles > 0:
                         spans_append(Span("host", kind, t, t + cycles, ""))
@@ -493,11 +495,14 @@ def run_module_traced(
         from ..interp import run_module
 
         return run_module(module, sim, function, args)
-    if sim.faults is not None and compiled.sites_stripped:
-        # Entries loaded from the persistent store carry no fault-recovery
-        # ``site`` ops; running them under fault injection would silently
-        # degrade minimal re-setup planning to full re-setup.  Recompile
-        # fresh (and re-cache, so one recompile serves the whole campaign).
+    if sim.faults is not None and compiled.source is not module:
+        # The recovery runtime plans minimal re-setup per ``site`` op with
+        # the caller's ReliancePlan, which knows only this module's ops.
+        # Entries loaded from the persistent store carry no sites, and an
+        # entry compiled from a structurally equal module carries that
+        # module's; either would silently degrade minimal re-setup to full.
+        # Recompile fresh (and re-cache, so a campaign that reruns one
+        # module recompiles once).
         key = compiled.fingerprint
         compiled = compile_module(module)
         if key is not None and cache is not False and hasattr(cache, "put"):

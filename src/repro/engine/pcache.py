@@ -36,9 +36,10 @@ Compiled traces need one transformation before they can live on disk: the
 ``OP_SETUP``/``OP_LAUNCH`` tuples carry the originating IR op as a ``site``
 for the fault-recovery runtime's minimal re-setup planning.  Those ops are
 process-local object graphs — meaningless (and unpicklable) across
-processes — so :func:`strip_sites` nulls them and marks the module
-``sites_stripped``; fault-injected runs recompile fresh rather than let
-minimal re-setup silently degrade to full (see ``run_module_traced``).
+processes — so :func:`strip_sites` nulls them along with the module's
+``source``, which marks it ``sites_stripped``; fault-injected runs recompile
+fresh rather than let minimal re-setup silently degrade to full (see
+``run_module_traced``).
 """
 
 from __future__ import annotations
@@ -118,11 +119,9 @@ def strip_sites(compiled: CompiledModule) -> CompiledModule:
             arg_slots=fn.arg_slots,
             code=tuple(code),
         )
-    stripped = CompiledModule(
+    return CompiledModule(
         functions, compiled.declarations, fingerprint=compiled.fingerprint
     )
-    stripped.sites_stripped = True
-    return stripped
 
 
 class PersistentStore:
@@ -282,7 +281,7 @@ class PersistentStore:
         payload = self.load("trace", fingerprint)
         if not isinstance(payload, CompiledModule):
             return None
-        payload.sites_stripped = True
+        payload.source = None
         payload.fingerprint = fingerprint
         return payload
 

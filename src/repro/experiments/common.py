@@ -1,12 +1,16 @@
 """Shared experiment plumbing: run one workload through one pipeline on the
-right host model and collect metrics."""
+right host model and collect metrics.
+
+Workloads execute on the trace engine (:func:`repro.engine.run_module_traced`),
+which is bit-identical to the tree interpreter and falls back to it for
+modules the trace compiler does not support."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..backends import get_accelerator
-from ..interp import run_module
+from ..engine import run_module_traced
 from ..passes import pipeline_by_name
 from ..sim import CoSimulator
 from ..sim.metrics import RunMetrics, collect_metrics
@@ -47,7 +51,7 @@ def run_workload(
         cost_model=spec.host_cost_model(),
         functional=functional,
     )
-    run_module(workload.module, sim, args=workload.main_args)
+    run_module_traced(workload.module, sim, args=workload.main_args)
     metrics = collect_metrics(sim, workload.accelerator)
     correct = workload.check() if (functional and check) else True
     return ExperimentRun(

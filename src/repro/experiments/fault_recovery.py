@@ -38,8 +38,8 @@ from ..core import (
     point_from_metrics,
     roofline_for_spec,
 )
+from ..engine import run_module_traced
 from ..faults import FaultInjector, FaultRates, RecoveryPolicy, ReliancePlan
-from ..interp import run_module
 from ..ioutil import atomic_write_json
 from ..passes import pipeline_by_name
 from ..sim import CoSimulator
@@ -122,7 +122,7 @@ def run_one(
         recovery=recovery,
         reliance=reliance,
     )
-    run_module(workload.module, sim, args=workload.main_args)
+    run_module_traced(workload.module, sim, args=workload.main_args)
     metrics = collect_metrics(sim, workload.accelerator)
     stats = sim.recovery_stats
     return RecoveryRun(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..backends import get_accelerator
 from ..core import format_series
-from ..interp import run_module
+from ..engine import run_module_traced
 from ..passes import pipeline_by_name
 from ..sim import CoSimulator, SpanKind, Timeline
 from ..workloads import build_opengemm_matmul
@@ -57,7 +57,7 @@ def measure(size: int, variant: str) -> TimelineBreakdown:
     pipeline_by_name(variant).run(workload.module)
     spec = get_accelerator("opengemm")
     sim = CoSimulator(memory=workload.memory, cost_model=spec.host_cost_model())
-    run_module(workload.module, sim)
+    run_module_traced(workload.module, sim)
     if not workload.check():
         raise AssertionError(f"wrong result for variant {variant}")
     timeline = sim.timeline

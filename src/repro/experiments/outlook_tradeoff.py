@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..backends import get_accelerator_or_none, register_accelerator
 from ..backends.toyvec import ToyVecSpec
 from ..core import format_series
-from ..interp import run_module
+from ..engine import run_module_traced
 from ..ir import i64
 from ..isa.encoding import FieldSpec
 from ..passes import pipeline_by_name
@@ -112,7 +112,7 @@ def _utilization(accelerator: str, extra_knobs: int, pipeline: str) -> float:
     pipeline_by_name(pipeline).run(module)
     spec = get_accelerator_or_none(accelerator)
     sim = CoSimulator(memory=memory, cost_model=spec.host_cost_model())
-    run_module(module, sim)
+    run_module_traced(module, sim)
     x, y, out = buffers
     assert (out.array == x.array + y.array).all()
     return collect_metrics(sim, accelerator).utilization

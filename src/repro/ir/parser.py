@@ -27,7 +27,12 @@ from .attributes import (
 from .block import Block, Region
 from .location import SourceLoc
 from .operation import Operation, UnregisteredOp
-from .registry import CUSTOM_PARSERS, OP_REGISTRY, TYPE_PARSERS
+from .registry import (
+    CUSTOM_PARSERS,
+    OP_REGISTRY,
+    TYPE_PARSERS,
+    load_deferred_dialect,
+)
 from .ssa import SSAValue
 
 
@@ -351,6 +356,9 @@ class Parser:
             return self._parse_generic_op()
         if token.kind == "ID":
             custom = CUSTOM_PARSERS.get(token.text)
+            if custom is None:
+                load_deferred_dialect(token.text)
+                custom = CUSTOM_PARSERS.get(token.text)
             if custom is not None:
                 self.advance()
                 op = custom(self)
@@ -381,6 +389,9 @@ class Parser:
         while self.current.text == "{":
             regions.append(self.parse_region())
         op_class = OP_REGISTRY.get(name)
+        if op_class is None:
+            load_deferred_dialect(name)
+            op_class = OP_REGISTRY.get(name)
         if op_class is None:
             return UnregisteredOp(
                 name,

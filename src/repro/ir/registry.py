@@ -8,6 +8,7 @@ functions registered with :func:`register_custom_parser`).
 
 from __future__ import annotations
 
+import importlib
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -19,6 +20,21 @@ OP_REGISTRY: dict[str, type["Operation"]] = {}
 CUSTOM_PARSERS: dict[str, Callable[["Parser"], "Operation"]] = {}
 TYPE_PARSERS: dict[str, Callable[["Parser"], "TypeAttribute"]] = {}
 ATTR_PARSERS: dict[str, Callable[["Parser"], object]] = {}
+
+#: Dialects defined outside :mod:`repro.dialects`: op-name prefix -> the
+#: module whose import registers them.  The parser imports one the first
+#: time it meets an op of that dialect, so parsing does not depend on what
+#: the caller happened to import, and the module stays off import chains
+#: that never parse such an op.
+DEFERRED_DIALECTS = {"net": "repro.workloads.network"}
+
+
+def load_deferred_dialect(op_name: str) -> None:
+    """Import the module registering ``op_name``'s dialect when that
+    dialect is one of :data:`DEFERRED_DIALECTS`."""
+    module = DEFERRED_DIALECTS.get(op_name.partition(".")[0])
+    if module is not None:
+        importlib.import_module(module)
 
 
 def register_attr_parser(prefix: str):

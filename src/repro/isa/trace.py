@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .instructions import HostCostModel, Instr, InstrCategory
 
@@ -52,34 +53,40 @@ class Trace:
         unattributed host work (calc/compute/control) is always included.
         """
         cost_model = cost_model or HostCostModel()
-
-        def relevant(instr: Instr) -> bool:
-            return (
-                accelerator is None
-                or instr.accelerator is None
-                or instr.accelerator == accelerator
-            )
-
-        instrs = [instr for instr in self.instrs if relevant(instr)]
-        counts = Counter(instr.category for instr in instrs)
-        cycles_by_category = {
-            category: sum(
-                cost_model.cycles(instr)
-                for instr in instrs
-                if instr.category is category
-            )
-            for category in InstrCategory
-        }
+        # Engines append the same record object over and over, so one pass
+        # over the distinct records (counted by identity, in C) replaces a
+        # visit per executed instruction.
+        instrs = self.instrs
+        repeats = Counter(map(id, instrs))
+        record_of = dict(zip(map(id, instrs), instrs))
+        counts = dict.fromkeys(InstrCategory, 0)
+        charged: dict[InstrCategory, list] = {c: [] for c in InstrCategory}
+        config_bytes = 0
+        for key, k in repeats.items():
+            instr = record_of[key]
+            owner = instr.accelerator
+            if accelerator is not None and owner not in (None, accelerator):
+                continue
+            category = instr.category
+            counts[category] += k
+            # The cost model prices a record by its category, so a category
+            # sums the same equal terms as a sum over the trace in order.
+            charged[category].append(repeat(cost_model.cycles(instr), k))
+            if instr.config_bytes and accelerator in (None, owner):
+                config_bytes += instr.config_bytes * k
         return TraceStats(
-            total_instrs=len(instrs),
-            setup_instrs=counts.get(InstrCategory.SETUP, 0),
-            calc_instrs=counts.get(InstrCategory.CALC, 0),
-            compute_instrs=counts.get(InstrCategory.COMPUTE, 0),
-            control_instrs=counts.get(InstrCategory.CONTROL, 0),
-            launch_instrs=counts.get(InstrCategory.LAUNCH, 0),
-            sync_instrs=counts.get(InstrCategory.SYNC, 0),
-            config_bytes=self.config_bytes(accelerator),
-            cycles_by_category=cycles_by_category,
+            total_instrs=sum(counts.values()),
+            setup_instrs=counts[InstrCategory.SETUP],
+            calc_instrs=counts[InstrCategory.CALC],
+            compute_instrs=counts[InstrCategory.COMPUTE],
+            control_instrs=counts[InstrCategory.CONTROL],
+            launch_instrs=counts[InstrCategory.LAUNCH],
+            sync_instrs=counts[InstrCategory.SYNC],
+            config_bytes=config_bytes,
+            cycles_by_category={
+                category: sum(chain.from_iterable(runs))
+                for category, runs in charged.items()
+            },
         )
 
 

@@ -150,11 +150,41 @@ class Memory:
             raise MemoryError_(f"misaligned access at {addr:#x}")
         return buffer.array.reshape(-1), offset_bytes // itemsize
 
+    @staticmethod
+    def _tile(
+        flat: np.ndarray, offset: int, rows: int, cols: int, row_stride: int
+    ) -> np.ndarray | None:
+        """The ``rows x cols`` tile at ``offset`` as one strided view of
+        ``flat``, or None where the row-by-row path must run instead: rows
+        that overlap (their order of writes matters), empty shapes, and
+        tiles that overrun the region (its error names the first bad row)."""
+        if (
+            rows <= 0
+            or cols <= 0
+            or row_stride < cols
+            or offset + (rows - 1) * row_stride + cols > flat.size
+        ):
+            return None
+        if rows == 1:  # a plain slice is the cheapest view of one row
+            return flat[offset : offset + cols].reshape(1, cols)
+        itemsize = flat.itemsize
+        # Positional: the constructor parses keyword arguments slowly.
+        return np.ndarray(
+            (rows, cols),
+            flat.dtype,
+            flat,
+            offset * itemsize,
+            (row_stride * itemsize, itemsize),
+        )
+
     def read_matrix(
         self, addr: int, rows: int, cols: int, row_stride: int, dtype
     ) -> np.ndarray:
         """Read a ``rows x cols`` matrix; ``row_stride`` in elements."""
         flat, offset = self._flat_view(addr, dtype)
+        tile = self._tile(flat, offset, rows, cols, row_stride)
+        if tile is not None:
+            return tile.copy()
         out = np.empty((rows, cols), dtype=dtype)
         for r in range(rows):
             start = offset + r * row_stride
@@ -176,6 +206,10 @@ class Memory:
                 snap._before_write(buffer)
         flat, offset = self._flat_view(addr, values.dtype)
         rows, cols = values.shape
+        tile = self._tile(flat, offset, rows, cols, row_stride)
+        if tile is not None:
+            tile[...] = values
+            return
         for r in range(rows):
             start = offset + r * row_stride
             if start + cols > flat.size:

@@ -87,7 +87,7 @@ def collect_metrics(sim: CoSimulator, accelerator: str) -> RunMetrics:
         peak_ops_per_cycle=device.spec.peak_ops_per_cycle,
         total_cycles=sim.total_cycles,
         total_ops=device.total_ops,
-        config_bytes=sim.trace.config_bytes(accelerator),
+        config_bytes=stats.config_bytes,
         memory_bytes=device.total_memory_bytes,
         setup_instrs=stats.setup_instrs,
         calc_instrs=stats.calc_instrs,

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 from ..analysis.cost import compare_with_simulation
 from ..backends.base import get_accelerator
+from ..engine import run_module_traced
 from ..engine.cache import module_fingerprint
-from ..interp import run_module
 from ..passes.pipeline import pipeline_by_name
 from ..sim import CoSimulator
 from ..testing.parallel import parallel_map, shard_ranges
@@ -221,7 +221,7 @@ def _validate(
         cost_model=spec.host_cost_model(),
         functional=True,
     )
-    run_module(built.module, sim, args=built.main_args)
+    run_module_traced(built.module, sim, args=built.main_args)
     mismatches = compare_with_simulation(
         built.module, sim, args=built.main_args
     )

@@ -295,15 +295,20 @@ class RequantizeOp(Operation):
         return [Instr("dma-word", InstrCategory.COMPUTE)] * max(1, self.n // 8)
 
     def interpret(self, interpreter, env) -> None:
-        """Functional semantics + host cost (one word per 8 elements)."""
-        src = env[self.operands[0]]
-        dst = env[self.operands[1]]
-        memory = interpreter.sim.memory
-        values = memory.read_matrix(src, 1, self.n, self.n, np.int32)[0]
-        memory.write_matrix(
-            dst, values.astype(np.int8).reshape(1, -1), self.n
-        )
-        interpreter.sim.charge(self.cost_instrs())
+        """Functional semantics + host cost (one word per 8 elements).
+
+        A timing-only simulation (``functional=False``) moves no data, as
+        accelerator launches there do not.
+        """
+        sim = interpreter.sim
+        if sim.functional:
+            src = env[self.operands[0]]
+            dst = env[self.operands[1]]
+            values = sim.memory.read_matrix(src, 1, self.n, self.n, np.int32)[0]
+            sim.memory.write_matrix(
+                dst, values.astype(np.int8).reshape(1, -1), self.n
+            )
+        sim.charge(self.cost_instrs())
 
 
 @register_custom_parser("net.requantize")

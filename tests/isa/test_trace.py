@@ -1,5 +1,7 @@
 """Tests for instruction records, cost model, and trace statistics."""
 
+import random
+
 import pytest
 
 from repro.isa import (
@@ -13,6 +15,7 @@ from repro.isa import (
     launch_instr,
     sync_instr,
 )
+from repro.isa.trace import TraceStats
 
 
 class TestInstr:
@@ -103,3 +106,95 @@ class TestTrace:
             trace.append(alu())
         stats = trace.stats(HostCostModel(3.0))
         assert stats.effective_config_bandwidth() == pytest.approx(0.913, abs=1e-3)
+
+
+def _per_instruction_stats(trace, cost_model, accelerator=None):
+    """The per-instruction definition of :meth:`Trace.stats`: visit every
+    executed record, summing cycles in trace order."""
+    instrs = [
+        instr
+        for instr in trace.instrs
+        if accelerator is None
+        or instr.accelerator is None
+        or instr.accelerator == accelerator
+    ]
+    counts = {
+        category: sum(1 for i in instrs if i.category is category)
+        for category in InstrCategory
+    }
+    return TraceStats(
+        total_instrs=len(instrs),
+        setup_instrs=counts[InstrCategory.SETUP],
+        calc_instrs=counts[InstrCategory.CALC],
+        compute_instrs=counts[InstrCategory.COMPUTE],
+        control_instrs=counts[InstrCategory.CONTROL],
+        launch_instrs=counts[InstrCategory.LAUNCH],
+        sync_instrs=counts[InstrCategory.SYNC],
+        config_bytes=trace.config_bytes(accelerator),
+        cycles_by_category={
+            category: sum(
+                cost_model.cycles(i) for i in instrs if i.category is category
+            )
+            for category in InstrCategory
+        },
+    )
+
+
+def _mixed_trace(seed: int) -> Trace:
+    """Shared records repeated many times (as the trace engine appends them)
+    interleaved with fresh equal ones (as the tree interpreter does), over
+    two accelerators plus unattributed host work."""
+    rng = random.Random(seed)
+    shared = [
+        alu(),
+        alu("li", InstrCategory.COMPUTE),
+        branch(),
+        config_write("csrw", "opengemm", 4),
+        config_write("rocc", "gemmini", 16),
+        launch_instr("start", "opengemm", 4),
+        launch_instr("go", "gemmini"),
+        sync_instr("poll", "gemmini"),
+        Instr("mmio", InstrCategory.SETUP, 8),  # bytes, but no accelerator
+    ]
+    trace = Trace()
+    for _ in range(400):
+        record = rng.choice(shared)
+        if rng.random() < 0.3:
+            record = Instr(
+                record.mnemonic,
+                record.category,
+                record.config_bytes,
+                record.accelerator,
+            )
+        trace.append(record)
+    return trace
+
+
+class TestStatsDefinition:
+    """One pass over distinct records must reproduce the per-instruction
+    definition exactly: the same counts and bit-identical cycle sums."""
+
+    COST_MODELS = [
+        HostCostModel(3.0),
+        HostCostModel(1, category_overrides={InstrCategory.SETUP: 2}),
+        HostCostModel(
+            0.1,
+            category_overrides={
+                InstrCategory.SETUP: 1.7,
+                InstrCategory.SYNC: 0.3,
+            },
+        ),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("model", range(len(COST_MODELS)))
+    @pytest.mark.parametrize("accelerator", [None, "opengemm", "gemmini", "other"])
+    def test_matches_per_instruction_definition(self, seed, model, accelerator):
+        trace = _mixed_trace(seed)
+        cost_model = self.COST_MODELS[model]
+        stats = trace.stats(cost_model, accelerator)
+        expected = _per_instruction_stats(trace, cost_model, accelerator)
+        assert stats == expected
+        for category, cycles in expected.cycles_by_category.items():
+            got = stats.cycles_by_category[category]
+            assert (type(got), repr(got)) == (type(cycles), repr(cycles))

@@ -83,3 +83,91 @@ class TestMatrixAccess:
         buf = mem.alloc((2, 2), np.int32)
         with pytest.raises(MemoryError_, match="overrun"):
             mem.write_matrix(buf.addr, np.zeros((4, 4), np.int32), 4)
+
+
+def _rows_read(flat, offset, rows, cols, row_stride):
+    """The row-by-row definition of a strided tile read."""
+    out = np.empty((rows, cols), dtype=flat.dtype)
+    for r in range(rows):
+        out[r] = flat[offset + r * row_stride : offset + r * row_stride + cols]
+    return out
+
+
+class TestStridedTiles:
+    """Tiles move as one strided view; the row loop remains for overlapping
+    rows, empty shapes and overruns.  Both must agree with the row-by-row
+    definition."""
+
+    @pytest.mark.parametrize("row_stride", [7, 4, 3, 1])
+    def test_read_matches_row_definition(self, row_stride):
+        mem = Memory()
+        buf = mem.place(np.arange(40, dtype=np.int16))
+        tile = mem.read_matrix(buf.addr + 2 * 3, 3, 4, row_stride, np.int16)
+        assert tile.shape == (3, 4)
+        expected = _rows_read(buf.array, 3, 3, 4, row_stride)
+        assert (tile == expected).all()
+
+    @pytest.mark.parametrize("row_stride", [7, 4, 3, 1])
+    def test_write_matches_row_definition(self, row_stride):
+        mem = Memory()
+        buf = mem.alloc(40, np.int32)
+        values = np.arange(1, 13, dtype=np.int32).reshape(3, 4)
+        mem.write_matrix(buf.addr + 4 * 2, values, row_stride)
+        expected = np.zeros(40, dtype=np.int32)
+        for r in range(3):  # later rows win where rows overlap
+            start = 2 + r * row_stride
+            expected[start : start + 4] = values[r]
+        assert (buf.array == expected).all()
+
+    def test_write_leaves_the_stride_gap_untouched(self):
+        mem = Memory()
+        buf = mem.place(np.full((4, 6), -1, dtype=np.int8))
+        mem.write_matrix(buf.addr + 1, np.zeros((4, 3), np.int8), 6)
+        assert (buf.array[:, 1:4] == 0).all()
+        assert (buf.array[:, [0, 4, 5]] == -1).all()
+
+    def test_single_row(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int32))
+        row = mem.read_matrix(buf.addr + 4 * 8, 1, 8, 8, np.int32)
+        assert (row == [np.arange(8, 16)]).all()
+        mem.write_matrix(buf.addr, -row, 8)
+        assert (buf.array[:8] == -np.arange(8, 16)).all()
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int8))
+        assert mem.read_matrix(buf.addr, *shape, 4, np.int8).shape == shape
+        mem.write_matrix(buf.addr, np.ones(shape, np.int8), 4)
+        assert (buf.array == np.arange(16)).all()
+
+    def test_read_returns_a_copy(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int8).reshape(4, 4))
+        tile = mem.read_matrix(buf.addr, 4, 2, 4, np.int8)
+        assert not np.shares_memory(tile, buf.array)
+        tile[...] = 99
+        assert (buf.array == np.arange(16).reshape(4, 4)).all()
+
+    def test_read_overrun_names_the_first_bad_row(self):
+        mem = Memory()
+        buf = mem.alloc(16, np.int8)
+        with pytest.raises(MemoryError_, match=r"\(row 3, stride 5\)"):
+            mem.read_matrix(buf.addr, 4, 4, 5, np.int8)
+
+    def test_write_overrun_names_the_first_bad_row(self):
+        mem = Memory()
+        buf = mem.alloc(16, np.int8)
+        with pytest.raises(MemoryError_, match=r"overruns its region \(row 3\)"):
+            mem.write_matrix(buf.addr, np.ones((4, 4), np.int8), 5)
+        # Rows before the bad one were written, as the row loop always did.
+        assert buf.array[:14].sum() == 12
+
+    def test_snapshot_copy_on_write_fires(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int32).reshape(4, 4))
+        snapshot = mem.snapshot()
+        mem.write_matrix(buf.addr + 4 * 5, np.zeros((2, 2), np.int32), 4)
+        assert (snapshot[0] == np.arange(16).reshape(4, 4)).all()
+        assert buf.array[1, 1] == 0 and buf.array[2, 2] == 0
