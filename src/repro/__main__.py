@@ -111,23 +111,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     module = _read_module(args.input)
     if args.pipeline:
         pipeline_by_name(args.pipeline).run(module)
-    if args.batch:
-        from .engine.batch import BatchLane, run_batch
-
-        main_args = [int(a) for a in args.args]
-        lanes = [BatchLane(args=list(main_args)) for _ in range(args.batch)]
-        outcomes = run_batch(module, lanes, functional=False, cache=False)
-        ok = sum(1 for lane in outcomes if lane.ok)
-        print(f"batch        : {args.batch} lanes, {ok} ok")
-        first = outcomes[0]
-        if not first.ok:
-            print(f"lane 0 error : {first.error_type}: {first.error}")
-            return 1
-        print(f"results      : {first.results}")
-        print(f"total cycles : {first.total_cycles:.0f}")
-        for name, count in first.launch_counts.items():
-            print(f"{name:13s}: {count} launches")
-        return 0
     sim = CoSimulator(functional=False)
     results = run_module(module, sim, args=[int(a) for a in args.args])[0]
     stats = sim.trace.stats(sim.cost_model)
@@ -538,14 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("input")
     run.add_argument("--pipeline", default="", help="optimize first")
     run.add_argument("--args", nargs="*", default=[], help="main() arguments")
-    run.add_argument(
-        "--batch",
-        type=int,
-        default=0,
-        metavar="LANES",
-        help="run LANES copies through the lockstep batch executor instead "
-        "of the tree interpreter (timing only)",
-    )
     run.set_defaults(func=cmd_run)
 
     from .testing.corpus import DEFAULT_CORPUS_DIR
@@ -604,11 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--engine",
         default="trace",
-        choices=["trace", "tree", "both", "batch"],
+        choices=["trace", "tree", "both"],
         help="execution engine for the oracles: 'trace' (compiled traces, "
-        "cross-checked against the tree interpreter), 'tree', 'both', or "
-        "'batch' (trace plus a batch-vs-scalar lockstep cross-check on "
-        "every executed run) (default: trace)",
+        "cross-checked against the tree interpreter), 'tree', or 'both' "
+        "(default: trace)",
     )
     fuzz.add_argument(
         "--cache-dir",

@@ -166,12 +166,14 @@ class KnownFields:
 
     ``is_top`` marks the optimistic lattice top used to break cycles through
     loop-carried states: "every field holds whatever you need, except the
-    explicit overrides in ``fields``".  Concrete answers always have
-    ``is_top=False``, with ``fields`` mapping field name -> SSA value.
+    explicit overrides in ``fields``".  An override of ``None`` marks a
+    field whose value is unknown (paths disagree on it).  Concrete answers
+    always have ``is_top=False``, with ``fields`` mapping field name -> SSA
+    value and never holding ``None``.
     """
 
     is_top: bool = False
-    fields: dict[str, SSAValue] = field(default_factory=dict)
+    fields: dict[str, SSAValue | None] = field(default_factory=dict)
 
     @staticmethod
     def top() -> "KnownFields":
@@ -189,9 +191,13 @@ class KnownFields:
 
 def intersect(a: KnownFields, b: KnownFields) -> KnownFields:
     if a.is_top and b.is_top:
-        return KnownFields(
-            True, {k: v for k, v in a.fields.items() if b.fields.get(k, v) is v}
-        )
+        # Each side holds whatever you need except its own overrides, so
+        # the meet keeps every override of either side; a field the two
+        # override with different values is unknown.
+        fields = dict(a.fields)
+        for k, v in b.fields.items():
+            fields[k] = v if fields.get(k, v) is v else None
+        return KnownFields(True, fields)
     if a.is_top:
         a, b = b, a
     if b.is_top:

@@ -125,9 +125,6 @@ class DiagnosticEngine:
     def count(self, severity: Severity) -> int:
         return sum(1 for d in self.diagnostics if d.severity is severity)
 
-    def format_all(self) -> str:
-        return "\n\n".join(d.format() for d in self.diagnostics)
-
 
 def error_code_counts(diagnostics: list[Diagnostic]) -> dict[str, int]:
     """Per-code tally of error-severity diagnostics (for before/after gates)."""

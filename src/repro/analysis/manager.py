@@ -59,30 +59,28 @@ class AnalysisManager:
     """
 
     def __init__(self) -> None:
-        #: (id(scope op), kind) -> analysis instance
-        self._entries: dict[tuple[int, object], object] = {}
-        #: id(scope op) -> scope op (pins identity so ids stay unique)
-        self._scopes: dict[int, Operation] = {}
+        #: id(scope op) -> (scope op, {kind: analysis instance}); holding the
+        #: op pins its identity so ids stay unique
+        self._scopes: dict[int, tuple[Operation, dict[object, object]]] = {}
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return sum(len(entries) for _, entries in self._scopes.values())
 
     def get(
         self, scope: Operation, kind: object, factory: Callable[[], object]
     ) -> object:
         """The cached analysis for ``(scope, kind)``, building on first use."""
-        key = (id(scope), kind)
         with self._lock:
-            entry = self._entries.get(key)
+            held = self._scopes.get(id(scope))
+            entry = held[1].get(kind) if held is not None else None
             if entry is None:
                 self.misses += 1
                 entry = factory()
-                self._entries[key] = entry
-                self._scopes[id(scope)] = scope
+                self._scopes.setdefault(id(scope), (scope, {}))[1][kind] = entry
             else:
                 self.hits += 1
             return entry
@@ -125,7 +123,6 @@ class AnalysisManager:
         """
         with self._lock:
             if mutated is None:
-                self._entries.clear()
                 self._scopes.clear()
                 return
             mutated = list(mutated)
@@ -144,17 +141,24 @@ class AnalysisManager:
             ):
                 self.invalidate()
                 return
-            stale_scopes = {
+            self._drop(
                 scope_id
-                for scope_id, scope in self._scopes.items()
+                for scope_id, (scope, _) in self._scopes.items()
                 if any(_is_related(scope, op) for op in mutated)
-            }
-            if not stale_scopes:
-                return
-            self._entries = {
-                key: entry
-                for key, entry in self._entries.items()
-                if key[0] not in stale_scopes
-            }
-            for scope_id in stale_scopes:
-                del self._scopes[scope_id]
+            )
+
+    def forget(self, root: Operation) -> None:
+        """Drop every entry over ``root`` or an op nested in it.
+
+        For IR that is going away (a module evicted from a cache) rather
+        than mutated: unlike :meth:`invalidate`, a root no entry is keyed on
+        leaves every other module's entries in place, and the cost is one
+        walk of ``root`` however many scopes are cached.
+        """
+        with self._lock:
+            self._drop(id(op) for op in root.walk() if id(op) in self._scopes)
+
+    def _drop(self, scope_ids: Iterable[int]) -> None:
+        """Drop every entry of the given scopes; the caller holds the lock."""
+        for scope_id in list(scope_ids):
+            del self._scopes[scope_id]

@@ -16,9 +16,6 @@ comparable run to run):
   ``simulate_functional``;
 * ``simulate_warm`` — the same programs through a warm in-process trace
   cache (the steady state of repeated sweeps);
-* ``simulate_batch`` — the same programs compiled once and executed across
-  many lanes by the batch executor; ``batch_speedup_vs_cold`` is the
-  headline amortization number;
 * ``simulate_functional`` — warm-cache execution *with* functional device
   emulation (the differential-oracle hot loop).  Its gap to
   ``simulate_warm`` is the price of functional emulation, which the old
@@ -159,8 +156,7 @@ def bench_simulate_cold(quick: bool = False) -> dict:
     Every run pays compile + simulate against a fresh memory image — the
     uncached per-program cost a sweep pays on first sight of a module.
     Functional device emulation is off (its price is measured by
-    ``simulate_functional``); this is the denominator of
-    ``simulate_batch``'s amortization claim.
+    ``simulate_functional``).
     """
     from .engine import run_module_traced
     from .sim import CoSimulator
@@ -223,57 +219,6 @@ def bench_simulate_warm(quick: bool = False) -> dict:
         "programs_per_s": round(programs / wall, 3) if wall else 0.0,
         "cache_hit_rate": round(cache.hit_rate, 4),
         "functional": False,
-    }
-
-
-#: Lanes per batch in ``simulate_batch`` — the amortization width the
-#: headline ``batch_speedup_vs_cold`` number is quoted at.
-BATCH_LANES = 64
-
-
-def bench_simulate_batch(quick: bool = False) -> dict:
-    """Timing-simulate pinned programs through the batch executor.
-
-    Each program is compiled fresh (same cost ``simulate_cold`` pays) and
-    then run across :data:`BATCH_LANES` duplicated memory images in one
-    lockstep batch, so one compile + one dispatch walk is amortized over
-    the whole lane set.  ``programs_per_s`` counts lanes — one lane is one
-    (program, memory image) simulation, the same unit the scalar workloads
-    count — and ``run_bench`` derives ``batch_speedup_vs_cold`` from it.
-    """
-    from .engine import BatchExecutor, BatchLane, compile_module
-    from .testing.generator import build_spec
-
-    bases = [
-        build_spec(spec, memory_seed=PINNED_SEED) for spec in _pinned_programs()
-    ]
-    # Untimed warm-up: the batch executor memoizes its vector kernels
-    # (np.frompyfunc wrappers) process-wide on first sight of each opcode
-    # combination; the scalar workloads got their equivalent warm-up from
-    # the workloads that ran before them.
-    for built in bases:
-        BatchExecutor(compile_module(built.module), functional=False).run(
-            [BatchLane(memory=built.memory.duplicate(), args=list(built.args))]
-        )
-    reps = 2 if quick else 12
-    started = time.perf_counter()
-    programs = 0
-    for _ in range(reps):
-        for built in bases:
-            compiled = compile_module(built.module)
-            lanes = [
-                BatchLane(memory=built.memory.duplicate(), args=list(built.args))
-                for _ in range(BATCH_LANES)
-            ]
-            BatchExecutor(compiled, functional=False).run(lanes)
-            programs += len(lanes)
-    wall = time.perf_counter() - started
-    return {
-        "wall_s": round(wall, 4),
-        "programs_per_s": round(programs / wall, 3) if wall else 0.0,
-        "cache_hit_rate": 0.0,  # compiled fresh by construction
-        "functional": False,
-        "lanes": BATCH_LANES,
     }
 
 
@@ -753,7 +698,6 @@ WORKLOADS = {
     "pattern_driver": bench_pattern_driver,
     "simulate_cold": bench_simulate_cold,
     "simulate_warm": bench_simulate_warm,
-    "simulate_batch": bench_simulate_batch,
     "simulate_functional": bench_simulate_functional,
     "persistent_cache": bench_persistent_cache,
     "serve": bench_serve,
@@ -776,12 +720,6 @@ def run_bench(quick: bool = False) -> dict:
     workloads = {}
     for name, runner in WORKLOADS.items():
         workloads[name] = runner(quick=quick)
-    cold = workloads.get("simulate_cold", {}).get("programs_per_s") or 0.0
-    batch = workloads.get("simulate_batch")
-    if batch and cold:
-        batch["batch_speedup_vs_cold"] = round(
-            batch["programs_per_s"] / cold, 2
-        )
     return {
         "schema": SCHEMA,
         "meta": meta,
@@ -894,8 +832,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if "worklist_speedup" in result:
             line += f"   worklist speedup {result['worklist_speedup']:.2f}x"
-        if "batch_speedup_vs_cold" in result:
-            line += f"   vs cold {result['batch_speedup_vs_cold']:.2f}x"
         if "persistent_hit_rate" in result:
             line += f"   persistent hit rate {result['persistent_hit_rate']:.0%}"
         if "speedup_vs_serial" in result:

@@ -2,14 +2,11 @@
 
 Lowers verified modules to flat, preallocated instruction streams
 (:mod:`.compiler`), executes them with a tight dispatch loop that is
-bit-identical to the tree interpreter (:mod:`.executor`), fuses hot pure
-opcode runs into superinstructions (:func:`fuse_module`), runs many lanes
-through one trace in lockstep (:mod:`.batch`), and caches compiled traces
-by content hash (:mod:`.cache`) with an optional on-disk persistent tier
-(:mod:`.pcache`).  See docs/PERFORMANCE.md.
+bit-identical to the tree interpreter (:mod:`.executor`), and caches
+compiled traces by content hash (:mod:`.cache`) with an optional on-disk
+persistent tier (:mod:`.pcache`).  See docs/PERFORMANCE.md.
 """
 
-from .batch import BatchExecutor, BatchLane, LaneResult, run_batch
 from .cache import (
     TRACE_CACHE,
     TraceCache,
@@ -18,15 +15,10 @@ from .cache import (
     module_fingerprint,
 )
 from .compiler import (
-    FUSABLE_OPCODES,
-    OPCODE_NAMES,
     CompiledFunction,
     CompiledModule,
     TraceCompileError,
     compile_module,
-    fuse_function,
-    fuse_module,
-    fusion_candidates,
 )
 from .executor import TraceExecutor, run_module_traced
 from .pcache import PersistentStore
@@ -38,19 +30,10 @@ __all__ = [
     "configure_persistent_cache",
     "module_fingerprint",
     "PersistentStore",
-    "FUSABLE_OPCODES",
-    "OPCODE_NAMES",
     "CompiledFunction",
     "CompiledModule",
     "TraceCompileError",
     "compile_module",
-    "fuse_function",
-    "fuse_module",
-    "fusion_candidates",
     "TraceExecutor",
     "run_module_traced",
-    "BatchExecutor",
-    "BatchLane",
-    "LaneResult",
-    "run_batch",
 ]

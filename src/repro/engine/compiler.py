@@ -62,39 +62,6 @@ OP_RESET = 13
 OP_CALL = 14
 OP_RETURN = 15
 OP_FOREIGN = 16
-#: A superinstruction: one dispatch covering a straight-line run of pure
-#: opcodes.  Produced by :func:`fuse_function`, never by initial lowering —
-#: fusion is a post-pass so the unfused stream stays the cache/identity form.
-OP_FUSED = 17
-
-#: Opcode -> mnemonic, for dispatch-stat reporting and fusion diagnostics.
-OPCODE_NAMES = {
-    OP_BINOP: "binop",
-    OP_CONST: "const",
-    OP_COPY: "copy",
-    OP_FOR_TEST: "for_test",
-    OP_FOR_NEXT: "for_next",
-    OP_CMP: "cmp",
-    OP_SELECT: "select",
-    OP_IF: "if",
-    OP_JUMP: "jump",
-    OP_FOR_INIT: "for_init",
-    OP_SETUP: "setup",
-    OP_LAUNCH: "launch",
-    OP_AWAIT: "await",
-    OP_RESET: "reset",
-    OP_CALL: "call",
-    OP_RETURN: "return",
-    OP_FOREIGN: "foreign",
-    OP_FUSED: "fused",
-}
-
-#: Opcodes eligible for superinstruction fusion: pure frame-to-frame data
-#: flow, no protocol interaction, no control transfer.  Keeping this surface
-#: minimal is what makes the batch executor's vectorized block path small.
-FUSABLE_OPCODES = frozenset(
-    {OP_BINOP, OP_CONST, OP_COPY, OP_CMP, OP_SELECT}
-)
 
 #: Shared control-flow charge record (frozen, compared by value — reusing
 #: one instance is indistinguishable from the interpreter's fresh ones).
@@ -419,137 +386,6 @@ class _FunctionCompiler:
                 self.code.append((OP_COPY, dst, tmp))
         else:
             self._emit_copies(pairs)
-
-
-# ---------------------------------------------------------------------------
-# Superinstruction fusion
-# ---------------------------------------------------------------------------
-#
-# A fused instruction ``(OP_FUSED, sub_ops)`` replaces a maximal straight-line
-# run of pure opcodes with a single dispatch.  The scalar executor interprets
-# the run in a tight inner loop (one outer dispatch instead of one per op);
-# the batch executor vectorizes the whole run across lanes and charges its
-# cycle total in one bump.  Fusion never crosses a jump target, so control
-# transfers always land on an instruction boundary of the fused stream.
-
-
-def _jump_targets(code: tuple[tuple, ...]) -> set[int]:
-    targets: set[int] = set()
-    for ins in code:
-        opcode = ins[0]
-        if opcode == OP_FOR_TEST or opcode == OP_FOR_NEXT:
-            targets.add(ins[3])
-        elif opcode == OP_IF:
-            targets.add(ins[2])
-        elif opcode == OP_JUMP:
-            targets.add(ins[1])
-    return targets
-
-
-def fuse_function(
-    fn: CompiledFunction,
-    candidates: frozenset[int] | None = None,
-    min_run: int = 2,
-) -> CompiledFunction:
-    """Fuse runs of ``candidates`` opcodes into superinstructions.
-
-    ``candidates`` defaults to every fusable opcode and is intersected with
-    :data:`FUSABLE_OPCODES` — callers can pass frequency-ordered opcode sets
-    from :func:`fusion_candidates` without filtering first.  Jump targets
-    are re-indexed; a run never swallows an instruction some jump lands on.
-    """
-    if candidates is None:
-        allowed = FUSABLE_OPCODES
-    else:
-        allowed = frozenset(candidates) & FUSABLE_OPCODES
-    code = fn.code
-    targets = _jump_targets(code)
-    new_code: list[tuple] = []
-    mapping: dict[int, int] = {}
-    i, n = 0, len(code)
-    while i < n:
-        mapping[i] = len(new_code)
-        if code[i][0] in allowed:
-            j = i + 1
-            while j < n and code[j][0] in allowed and j not in targets:
-                j += 1
-            if j - i >= min_run:
-                for k in range(i + 1, j):
-                    mapping[k] = len(new_code)  # interior: never a target
-                new_code.append((OP_FUSED, code[i:j]))
-                i = j
-                continue
-        new_code.append(code[i])
-        i += 1
-    mapping[n] = len(new_code)
-    patched: list[tuple] = []
-    for ins in new_code:
-        opcode = ins[0]
-        if opcode == OP_FOR_TEST:
-            patched.append((OP_FOR_TEST, ins[1], ins[2], mapping[ins[3]]))
-        elif opcode == OP_FOR_NEXT:
-            patched.append((OP_FOR_NEXT, ins[1], ins[2], mapping[ins[3]]))
-        elif opcode == OP_IF:
-            patched.append((OP_IF, ins[1], mapping[ins[2]]))
-        elif opcode == OP_JUMP:
-            patched.append((OP_JUMP, mapping[ins[1]]))
-        else:
-            patched.append(ins)
-    return CompiledFunction(
-        name=fn.name,
-        n_args=fn.n_args,
-        n_slots=fn.n_slots,
-        arg_slots=fn.arg_slots,
-        code=tuple(patched),
-    )
-
-
-def fuse_module(
-    compiled: CompiledModule,
-    candidates: frozenset[int] | None = None,
-    min_run: int = 2,
-) -> CompiledModule:
-    """A superinstruction-fused view of ``compiled``.
-
-    Fusion is an executor-side representation change only: the fused module
-    keeps the source module's ``fingerprint``, and cache identity
-    (:func:`repro.engine.cache.module_fingerprint` / ``structural_key``) is
-    computed from the IR, never from the instruction stream — so fusing can
-    never split or alias cache entries.
-    """
-    return CompiledModule(
-        {
-            name: fuse_function(fn, candidates, min_run)
-            for name, fn in compiled.functions.items()
-        },
-        compiled.declarations,
-        fingerprint=compiled.fingerprint,
-        source=compiled.source,
-    )
-
-
-def fusion_candidates(
-    stats: dict[int, int], min_share: float = 0.01
-) -> tuple[int, ...]:
-    """Fusable opcodes ordered by observed dispatch frequency.
-
-    ``stats`` is a dispatch counter from ``TraceExecutor(stats=...)``:
-    opcode -> number of dispatches.  Opcodes below ``min_share`` of all
-    dispatches are dropped — fusing an opcode that never occurs in runs
-    only grows the candidate set the fuser scans for.
-    """
-    total = sum(stats.values())
-    if total <= 0:
-        return ()
-    ranked = sorted(
-        (
-            (count, opcode)
-            for opcode, count in stats.items()
-            if opcode in FUSABLE_OPCODES and count / total >= min_share
-        ),
-        key=lambda item: (-item[0], item[1]),
-    )
-    return tuple(opcode for _, opcode in ranked)
 
 
 def compile_module(module: ModuleOp) -> CompiledModule:

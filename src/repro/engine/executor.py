@@ -31,7 +31,6 @@ from .compiler import (
     OP_FOR_NEXT,
     OP_FOR_TEST,
     OP_FOREIGN,
-    OP_FUSED,
     OP_IF,
     OP_JUMP,
     OP_LAUNCH,
@@ -65,18 +64,9 @@ class TraceExecutor:
     compiled module can be shared by any number of executors/caches.
     """
 
-    def __init__(
-        self,
-        compiled: CompiledModule,
-        sim: CoSimulator,
-        stats: dict[int, int] | None = None,
-    ) -> None:
+    def __init__(self, compiled: CompiledModule, sim: CoSimulator) -> None:
         self.compiled = compiled
         self.sim = sim
-        #: optional dispatch counter (opcode -> count); feeding one run's
-        #: stats to :func:`repro.engine.compiler.fusion_candidates` yields
-        #: the frequency-ordered superinstruction candidate set
-        self.stats = stats
         self.max_call_depth = 256
         self._state_counter = 0
         self._call_depth = 0
@@ -127,13 +117,10 @@ class TraceExecutor:
         spans_append = spans.append
         trace_append = sim.trace.instrs.append
         reset_states = self._reset_states
-        stats = self.stats
         pc = 0
         while True:
             ins = code[pc]
             opcode = ins[0]
-            if stats is not None:
-                stats[opcode] = stats.get(opcode, 0) + 1
 
             if opcode == OP_BINOP:
                 _, dst, evaluate, a, b, mask, instr = ins
@@ -406,55 +393,6 @@ class TraceExecutor:
                     spans_append(Span("host", kind, t, t + cycles, ""))
                 sim.host_time = t + cycles
                 trace_append(instr)
-                pc += 1
-                continue
-
-            if opcode == OP_FUSED:
-                # One dispatch for a straight-line run of pure opcodes; each
-                # sub-op replays its standalone branch exactly (same checks,
-                # same spans, same trace order), so fused and unfused
-                # streams are observationally identical.
-                for sub in ins[1]:
-                    sub_opcode = sub[0]
-                    if sub_opcode == OP_BINOP:
-                        _, dst, evaluate, a, b, mask, instr = sub
-                        lhs = frame[a]
-                        if not isinstance(lhs, int):
-                            raise _not_int(lhs)
-                        rhs = frame[b]
-                        if not isinstance(rhs, int):
-                            raise _not_int(rhs)
-                        value = evaluate(None, lhs, rhs)
-                        frame[dst] = value & mask if mask is not None else value
-                    elif sub_opcode == OP_CONST:
-                        _, dst, value, instr = sub
-                        frame[dst] = value
-                    elif sub_opcode == OP_COPY:
-                        frame[sub[1]] = frame[sub[2]]
-                        continue  # copies charge nothing
-                    elif sub_opcode == OP_CMP:
-                        _, dst, predicate, a, b, width, instr = sub
-                        lhs = frame[a]
-                        if not isinstance(lhs, int):
-                            raise _not_int(lhs)
-                        rhs = frame[b]
-                        if not isinstance(rhs, int):
-                            raise _not_int(rhs)
-                        frame[dst] = int(
-                            _evaluate_predicate(predicate, lhs, rhs, width)
-                        )
-                    else:  # OP_SELECT
-                        _, dst, cond_slot, tv, fv, instr = sub
-                        cond = frame[cond_slot]
-                        if not isinstance(cond, int):
-                            raise _not_int(cond)
-                        frame[dst] = frame[tv if cond else fv]
-                    cycles, kind, _ = cost(instr)
-                    t = sim.host_time
-                    if cycles > 0:
-                        spans_append(Span("host", kind, t, t + cycles, ""))
-                    sim.host_time = t + cycles
-                    trace_append(instr)
                 pc += 1
                 continue
 

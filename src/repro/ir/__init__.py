@@ -58,7 +58,7 @@ from .rewriter import (
     use_driver,
 )
 from .ssa import BlockArgument, OpResult, SSAValue, Use
-from .traits import HasCanonicalizer, IsolatedFromAbove, IsTerminator, OpTrait, Pure
+from .traits import IsolatedFromAbove, IsTerminator, OpTrait, Pure
 from .verifier import verify_operation
 
 __all__ = [
@@ -118,7 +118,6 @@ __all__ = [
     "OpResult",
     "SSAValue",
     "Use",
-    "HasCanonicalizer",
     "IsolatedFromAbove",
     "IsTerminator",
     "OpTrait",

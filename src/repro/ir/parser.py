@@ -109,10 +109,6 @@ class Parser:
     def current(self) -> Token:
         return self._tokens[self._pos]
 
-    def peek(self, offset: int = 1) -> Token:
-        i = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[i]
-
     def advance(self) -> Token:
         token = self.current
         if token.kind != "EOF":
@@ -133,11 +129,6 @@ class Parser:
         if self.current.text != text:
             raise self.error(f"expected {text!r}")
         return self.advance()
-
-    def accept_kind(self, kind: str) -> Token | None:
-        if self.current.kind == kind:
-            return self.advance()
-        return None
 
     def expect_kind(self, kind: str) -> Token:
         if self.current.kind != kind:

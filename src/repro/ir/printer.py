@@ -83,9 +83,6 @@ class Printer:
 
     # -- attributes ------------------------------------------------------
 
-    def print_attribute(self, attr: Attribute) -> None:
-        self.emit(format_attribute(attr))
-
     def print_attr_dict(self, attrs: dict[str, Attribute]) -> None:
         if not attrs:
             return

@@ -30,8 +30,3 @@ class Pure(OpTrait):
 @dataclass(frozen=True)
 class IsolatedFromAbove(OpTrait):
     """Regions of this operation may not reference values defined outside."""
-
-
-@dataclass(frozen=True)
-class HasCanonicalizer(OpTrait):
-    """The operation provides canonicalization patterns via ``canonicalize``."""

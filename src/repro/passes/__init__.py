@@ -8,8 +8,6 @@ from .cse import CSEPass, cse_root
 from .dce import DCEPass
 from .dedup import (
     DedupPass,
-    KnownFields,
-    KnownFieldsAnalysis,
     eliminate_redundant_fields,
     hoist_invariant_setup_fields,
     hoist_setups_into_branches,
@@ -43,11 +41,7 @@ from .pipeline import (
     pipeline_by_name,
 )
 from .unroll import UnrollPass
-from .trace_states import (
-    StateTracer,
-    TraceStatesPass,
-    state_linearity_diagnostics,
-)
+from .trace_states import StateTracer, TraceStatesPass
 
 __all__ = [
     "CanonicalizePass",
@@ -56,8 +50,6 @@ __all__ = [
     "cse_root",
     "DCEPass",
     "DedupPass",
-    "KnownFields",
-    "KnownFieldsAnalysis",
     "eliminate_redundant_fields",
     "hoist_invariant_setup_fields",
     "hoist_setups_into_branches",
@@ -90,6 +82,5 @@ __all__ = [
     "pipeline_by_name",
     "StateTracer",
     "TraceStatesPass",
-    "state_linearity_diagnostics",
     "UnrollPass",
 ]

@@ -23,20 +23,14 @@ from __future__ import annotations
 
 import warnings
 
-from ..analysis.dataflow import KnownFields, KnownFieldsAnalysis, intersect
+from ..analysis.dataflow import KnownFieldsAnalysis
 from ..dialects import accfg, scf
 from ..ir.operation import Operation
 from ..ir.ssa import OpResult, SSAValue
 from .licm import is_defined_outside
 from .pass_manager import ModulePass, register_pass, report_scopes
 
-# The known-fields dataflow (KnownFields / intersect / KnownFieldsAnalysis)
-# moved to repro.analysis.dataflow so the lint suite shares it; the names
-# above stay importable from this module for backward compatibility.
 __all__ = [
-    "KnownFields",
-    "KnownFieldsAnalysis",
-    "intersect",
     "DedupPass",
     "hoist_setups_into_branches",
     "hoist_invariant_setup_fields",

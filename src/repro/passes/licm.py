@@ -45,17 +45,6 @@ def is_defined_outside(value: SSAValue, loop: scf.ForOp) -> bool:
     return True
 
 
-def hoistable_ops(loop: scf.ForOp) -> list[Operation]:
-    """Pure region-free body ops whose operands are all loop-invariant."""
-    result = []
-    for op in loop.body.ops:
-        if not op.is_pure or op.regions or op.is_terminator:
-            continue
-        if all(is_defined_outside(operand, loop) for operand in op.operands):
-            result.append(op)
-    return result
-
-
 def hoist_from_loop(loop: scf.ForOp) -> bool:
     """Hoist every (transitively) invariant pure op out of one loop."""
     if loop.parent is None:

@@ -10,9 +10,9 @@ comma-separated strings (``"canonicalize,cse,accfg-dedup"``), mirroring
 Change reporting and analysis caching
 -------------------------------------
 
-Modern passes take an optional second ``analyses`` argument (an
-:class:`~repro.analysis.AnalysisManager`) and *report what they mutated*
-from ``apply``:
+Every pass implements ``apply(self, module, analyses=None)``, where
+``analyses`` is the pipeline's :class:`~repro.analysis.AnalysisManager`,
+and *reports what it mutated* from ``apply``:
 
 * ``False``     — the module is untouched: cached analyses stay valid and
   the post-pass re-verification is skipped (nothing can have broken);
@@ -20,16 +20,10 @@ from ``apply``:
   analysis is invalidated and the module re-verified;
 * an iterable of ops (usually ``func.func`` ops) — only those scopes
   changed: analyses over unrelated scopes survive.
-
-Passes with the legacy single-argument ``apply(self, module)`` signature
-keep working unchanged (their return value, conventionally ``None``, means
-"assume everything changed").  The signature is inspected once per pass
-class, never guessed per call.
 """
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass
 
@@ -37,28 +31,6 @@ from ..ir.operation import Operation
 from ..ir.verifier import verify_operation
 
 PASS_REGISTRY: dict[str, type["ModulePass"]] = {}
-
-#: pass class -> whether its ``apply`` accepts an ``analyses`` argument
-_APPLY_ACCEPTS_ANALYSES: dict[type, bool] = {}
-
-
-def _accepts_analyses(cls: type) -> bool:
-    cached = _APPLY_ACCEPTS_ANALYSES.get(cls)
-    if cached is None:
-        try:
-            params = list(inspect.signature(cls.apply).parameters.values())
-        except (TypeError, ValueError):
-            params = []
-        positional = [
-            p
-            for p in params
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        cached = len(positional) >= 3 or any(
-            p.kind is p.VAR_POSITIONAL for p in params
-        )
-        _APPLY_ACCEPTS_ANALYSES[cls] = cached
-    return cached
 
 
 def register_pass(cls: type["ModulePass"]) -> type["ModulePass"]:
@@ -94,14 +66,13 @@ def report_scopes(changed: bool, scopes, root_level: bool = False):
 class ModulePass:
     """Base class for module-level transformations.
 
-    Subclasses implement either the legacy ``apply(self, module)`` or the
-    modern ``apply(self, module, analyses=None)`` signature; modern passes
-    report what they mutated (see the module docstring).
+    Subclasses implement ``apply(self, module, analyses=None)`` and report
+    what they mutated (see the module docstring).
     """
 
     name: str = ""
 
-    def apply(self, module: Operation) -> None:
+    def apply(self, module: Operation, analyses=None):
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -201,10 +172,7 @@ class PassManager:
         for pass_ in self.passes:
             ops_before = op_count
             started = time.perf_counter() if self.instrument else 0.0
-            if _accepts_analyses(type(pass_)):
-                changed = pass_.apply(module, self.analyses)
-            else:
-                changed = pass_.apply(module)
+            changed = pass_.apply(module, self.analyses)
             if self.instrument:
                 if changed is not False:
                     op_count = sum(1 for _ in module.walk())

@@ -262,26 +262,6 @@ class StateTracer:
         return result
 
 
-def state_linearity_diagnostics(module: Operation) -> list[str]:
-    """Check the paper's IR constraint: per accelerator, only one state
-    variable is *live* at any program point (Section 5.1).
-
-    Backward-compatible shim: the implementation moved to
-    :mod:`repro.analysis.linearity`, which produces structured diagnostics
-    (codes ACCFG004/ACCFG005) and — unlike the original — also flags
-    accelerator names no backend registers (ACCFG009) instead of passing
-    silently over them.  This wrapper returns the legacy ``list[str]``.
-    """
-    from ..analysis.linearity import (
-        linearity_diagnostics,
-        unknown_accelerator_diagnostics,
-    )
-
-    found = linearity_diagnostics(module)
-    found += unknown_accelerator_diagnostics(module)
-    return [diag.message for diag in found]
-
-
 @register_pass
 class TraceStatesPass(ModulePass):
     """Connect setup clusters by threading accelerator state (step 2 of the

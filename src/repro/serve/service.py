@@ -593,7 +593,8 @@ class CompileService:
             with self._lock:
                 self._modules[key] = module
                 while len(self._modules) > self.module_cache_size:
-                    self._modules.popitem(last=False)
+                    _, evicted = self._modules.popitem(last=False)
+                    self.analyses.forget(evicted)
         return module
 
     def _execute(self, op: str, request: dict[str, Any]) -> tuple[bool, Any]:
@@ -605,6 +606,7 @@ class CompileService:
         """
         if self.chaos is not None:
             self.chaos.on_execute(request)
+        module = None
         try:
             module = self._parsed_module(op, request)
             handler = getattr(self, f"_op_{op}")
@@ -613,6 +615,11 @@ class CompileService:
             return (False, ("protocol", str(error)))
         except Exception as error:  # noqa: BLE001 - reported to the client
             return (False, (type(error).__name__, str(error)))
+        finally:
+            if module is not None and not self.dedup:
+                # No module cache holds this module: nothing can reuse its
+                # analyses, and keeping them would pin it in memory.
+                self.analyses.forget(module)
 
     def _op_compile(self, module, request: dict[str, Any]) -> dict[str, Any]:
         fingerprint = module_fingerprint(module)

@@ -37,25 +37,6 @@ _SPAN_FOR_CATEGORY = {
 }
 
 
-def resolve_category_cycles(
-    cost_model: HostCostModel,
-) -> dict[InstrCategory, float]:
-    """Per-category cycle costs under ``cost_model``.
-
-    The vectorizable charge hook: :meth:`CoSimulator.charge` resolves this
-    table lazily per simulator, and the batch executor
-    (:mod:`repro.engine.batch`) uses the same table to charge whole
-    instruction runs as one ``k * cycles`` numpy bump per lane — identical
-    totals, since per-instr costs depend only on the category.
-    """
-    return {
-        category: cost_model.category_overrides.get(
-            category, cost_model.cycles_per_instr
-        )
-        for category in InstrCategory
-    }
-
-
 class CoSimulator:
     """Discrete-event co-simulation of one host plus its accelerators."""
 

@@ -112,7 +112,7 @@ class Memory:
     def duplicate(self) -> "Memory":
         """An independent memory with identical layout and contents.
 
-        The batch executor fans one built image out to N lanes with this:
+        The benchmarks fan one built image out to many runs with this:
         addresses and allocation order are preserved exactly (the IR embeds
         them as constants), contents are copied buffer-by-buffer, and live
         snapshots are *not* carried over — the clone starts with none.

@@ -8,11 +8,10 @@ Two generators live here:
   setup-field writes that rely on configuration-register retention.  It is
   parameterized over backend profiles for all three targets (Gemmini,
   OpenGeMM, toyvec) and powers ``python -m repro fuzz``;
-* the **property generator** — the hypothesis strategies originally grown in
-  ``tests/properties/program_gen.py`` (toyvec only, straight-line plus one
-  loop level), kept source-compatible so the existing property tests keep
-  passing unchanged.  Hypothesis is imported lazily so the shipped package
-  never requires it at import time.
+* the **property generator** — the hypothesis strategies the property
+  tests draw from (toyvec only, straight-line plus one loop level).
+  Hypothesis is imported lazily so the shipped package never requires it
+  at import time.
 
 Every generated program is *valid by construction*: field values are drawn
 from per-backend choice tables (buffer addresses of pre-allocated regions,

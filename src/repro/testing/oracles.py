@@ -61,13 +61,7 @@ Engines
   interpreter and compared bit-for-bit (results, memory image, launch
   counts, instruction trace, timeline spans, total cycles) — any mismatch
   is a ``trace-vs-tree`` failure;
-* ``"both"``  — cross-check every pipeline's run, not just ``none``;
-* ``"batch"`` — like ``"trace"``, plus a ``batch-vs-scalar`` oracle on
-  every trace-executed run: the module is re-run through the lockstep batch
-  executor (:mod:`repro.engine.batch`) on two lanes — the subject's own
-  ``(memory, args)`` and a control-flow-flipped sibling — and each lane
-  must match an independent scalar run bit-for-bit (results, memory image,
-  launch counts, total cycles, and exact error strings).
+* ``"both"``  — cross-check every pipeline's run, not just ``none``.
 """
 
 from __future__ import annotations
@@ -105,7 +99,7 @@ ERROR_LINT_CODES = frozenset({"ACCFG002", "ACCFG003", "ACCFG004", "ACCFG005"})
 #: Default execution engine for oracle runs (see module docstring).
 DEFAULT_ENGINE = "trace"
 
-ENGINES = ("tree", "trace", "both", "batch")
+ENGINES = ("tree", "trace", "both")
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,7 @@ class OracleFailure:
     """One oracle violation for one pipeline."""
 
     #: "functional" | "timing" | "lint" | "static-cost" | "crash"
-    #: | "trace-vs-tree" | "batch-vs-scalar" | "driver-divergence"
+    #: | "trace-vs-tree" | "driver-divergence"
     oracle: str
     pipeline: str
     message: str
@@ -337,113 +331,6 @@ def _cross_check(
     if problems:
         return OracleFailure("trace-vs-tree", name, "; ".join(problems))
     return None
-
-
-def _batch_lane_divergences(
-    lane, results, error, sim, memory
-) -> list[str]:
-    """Observable differences between one batch lane and its scalar run.
-
-    ``error`` is ``None`` when the scalar run succeeded, else the
-    ``(type name, message)`` pair it raised — batch lanes must reproduce
-    errors exactly, message and all.
-    """
-    problems: list[str] = []
-    if error is None:
-        if not lane.ok:
-            return [
-                f"batch lane raised {lane.error_type}: {lane.error} "
-                "where the scalar engine succeeded"
-            ]
-        if lane.results != results:
-            problems.append(f"results {lane.results} != {results}")
-    else:
-        if lane.ok:
-            return [
-                f"batch lane succeeded where the scalar engine raised "
-                f"{error[0]}: {error[1]}"
-            ]
-        if (lane.error_type, lane.error) != error:
-            problems.append(
-                f"errors diverge: {lane.error_type}: {lane.error} != "
-                f"{error[0]}: {error[1]}"
-            )
-    if lane.total_cycles != sim.total_cycles:
-        problems.append(
-            f"total cycles {lane.total_cycles:g} != {sim.total_cycles:g}"
-        )
-    scalar_launches = {
-        name: device.launch_count for name, device in sim.devices.items()
-    }
-    if lane.launch_counts != scalar_launches:
-        problems.append(
-            f"launch counts {lane.launch_counts} != {scalar_launches}"
-        )
-    for i, (a, b) in enumerate(zip(lane.memory.buffers, memory.buffers)):
-        if a.array.shape != b.array.shape or not (a.array == b.array).all():
-            problems.append(f"memory images diverge in buffer #{i}")
-            break
-    return problems
-
-
-def _batch_cross_check(
-    name: str, module, subject: Subject, results, sim, memory, key
-) -> list[OracleFailure]:
-    """Re-run ``module`` through the batch executor and compare per lane.
-
-    Lane 0 replays the subject's own ``(memory, args)`` against the scalar
-    run just performed; when the first argument is an ``i1``, lane 1 flips
-    it (forcing the lanes down different control-flow paths, so group
-    splitting is exercised) and is held to an independent scalar run —
-    including crashing with the identical error message when that run does.
-    """
-    from ..engine import TRACE_CACHE, TraceExecutor
-    from ..engine.batch import BatchExecutor, BatchLane
-
-    try:
-        compiled = TRACE_CACHE.get_or_compile(module, key=key)
-        lane_memory, lane_args = _fresh_memory(subject)
-        lanes = [BatchLane(memory=lane_memory, args=list(lane_args))]
-        expected = [(results, None, sim, memory)]
-        if lane_args and isinstance(lane_args[0], int) and lane_args[0] in (0, 1):
-            flipped = [1 - lane_args[0], *lane_args[1:]]
-            scalar_memory, _ = _fresh_memory(subject)
-            scalar_sim = CoSimulator(memory=scalar_memory)
-            try:
-                scalar_results = TraceExecutor(compiled, scalar_sim).run(
-                    "main", list(flipped)
-                )
-                scalar_error = None
-            except Exception as error:  # noqa: BLE001 - lanes must match it
-                scalar_results = None
-                scalar_error = (type(error).__name__, str(error))
-            batch_memory, _ = _fresh_memory(subject)
-            lanes.append(BatchLane(memory=batch_memory, args=list(flipped)))
-            expected.append(
-                (scalar_results, scalar_error, scalar_sim, scalar_memory)
-            )
-        lane_results = BatchExecutor(compiled, module=module).run(lanes)
-    except Exception as error:  # noqa: BLE001 - any asymmetry is the finding
-        return [
-            OracleFailure(
-                "batch-vs-scalar",
-                name,
-                f"batch executor raised {type(error).__name__}: {error} "
-                "where the scalar engine succeeded",
-            )
-        ]
-    failures = []
-    for index, (lane, exp) in enumerate(zip(lane_results, expected)):
-        problems = _batch_lane_divergences(lane, *exp)
-        if problems:
-            failures.append(
-                OracleFailure(
-                    "batch-vs-scalar",
-                    name,
-                    f"lane {index}: " + "; ".join(problems),
-                )
-            )
-    return failures
 
 
 def run_one(
@@ -703,13 +590,6 @@ class _SubjectRunner:
                 )
                 if divergence is not None:
                     extras.append(divergence)
-            if self.engine == "batch" and used_trace:
-                extras.extend(
-                    _batch_cross_check(
-                        name, module, self.subject, results, sim, memory,
-                        fingerprint,
-                    )
-                )
             stage = "static-cost"
             from ..analysis.cost import compare_with_simulation
 

@@ -39,8 +39,8 @@ class BrokenDedupPass(DedupPass):
 
     name = "accfg-dedup-broken"
 
-    def apply(self, module: Operation) -> None:
-        super().apply(module)
+    def apply(self, module: Operation, analyses=None) -> None:
+        super().apply(module, analyses)
         for op in module.walk():
             if isinstance(op, accfg.SetupOp) and len(op.field_names) > 1:
                 op.set_fields(list(op.fields[:-1]))

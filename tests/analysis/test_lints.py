@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis import Severity, run_lints
 from repro.ir import parse_module
-from repro.passes import state_linearity_diagnostics
 
 
 def lint_codes(text, **kwargs):
@@ -405,20 +404,6 @@ class TestRunLintsFiltering:
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError, match="ACCFG999"):
             run_lints(parse_module(CLEAN), codes={"ACCFG999"})
-
-
-class TestLegacyWrapper:
-    def test_returns_strings_and_flags_unregistered_names(self):
-        module = parse_module("""builtin.module {
-  func.func @main(%n : i64) -> () {
-    %s = accfg.setup on "gemini" ("A" = %n : i64) : !accfg.state<"gemini">
-    func.return
-  }
-}
-""")
-        diagnostics = state_linearity_diagnostics(module)
-        assert diagnostics and all(isinstance(d, str) for d in diagnostics)
-        assert any("not registered" in d for d in diagnostics)
 
 
 class TestRetentionHazard:

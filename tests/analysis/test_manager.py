@@ -120,6 +120,27 @@ class TestInvalidation:
         assert manager.awaited_tokens(second) is kept
 
 
+class TestForget:
+    def test_drops_entries_nested_in_the_root(self):
+        module, (first, second) = setup_module()
+        manager = AnalysisManager()
+        manager.awaited_tokens(first)
+        manager.awaited_tokens(second)
+        manager.observed_fields(module)
+        manager.forget(module)
+        assert len(manager) == 0
+
+    def test_unkeyed_root_leaves_other_modules_alone(self):
+        # Unlike invalidate(), forgetting a parentless root that no entry
+        # is keyed on never falls back to clearing everything.
+        module, (first, _) = setup_module()
+        other, _ = setup_module()
+        manager = AnalysisManager()
+        kept = manager.awaited_tokens(first)
+        manager.forget(other)
+        assert manager.awaited_tokens(first) is kept
+
+
 class _RecordingPass(ModulePass):
     """A modern pass that reports a caller-chosen change set."""
 
@@ -153,16 +174,16 @@ class TestPassManagerIntegration:
         assert pm.analyses.awaited_tokens(first) is not stale
         assert pm.analyses.awaited_tokens(second) is kept
 
-    def test_legacy_pass_invalidates_everything(self):
+    def test_pass_returning_none_invalidates_everything(self):
         module, (first, _) = setup_module()
 
-        class Legacy(ModulePass):
-            name = "legacy"
+        class ReportsNothing(ModulePass):
+            name = "reports-nothing"
 
-            def apply(self, module):
+            def apply(self, module, analyses=None):
                 return None
 
-        pm = PassManager([Legacy()])
+        pm = PassManager([ReportsNothing()])
         entry = pm.analyses.awaited_tokens(first)
         pm.run(module)
         assert pm.analyses.awaited_tokens(first) is not entry

@@ -5,25 +5,19 @@ pipeline and asserts no error-severity diagnostics appear, plus direct
 tests for the ``PassManager(lint=True)`` gate and the ``accfg-lint`` pass.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "properties"))
-
-from program_gen import build, programs  # noqa: E402
-
-from repro.analysis import Severity, run_lints  # noqa: E402
-from repro.dialects import accfg  # noqa: E402
-from repro.ir import parse_module  # noqa: E402
-from repro.passes import (  # noqa: E402
+from repro.analysis import Severity, run_lints
+from repro.dialects import accfg
+from repro.ir import parse_module
+from repro.passes import (
     LintPass,
     ModulePass,
     PassManager,
     pipeline_by_name,
 )
+from repro.testing.generator import build, programs
 
 RELAXED = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -72,7 +66,7 @@ class DuplicateAwaitsPass(ModulePass):
 
     name = "test-duplicate-awaits"
 
-    def apply(self, module):
+    def apply(self, module, analyses=None):
         for op in list(module.walk()):
             if isinstance(op, accfg.AwaitOp):
                 clone = op.clone({op.token: op.token})

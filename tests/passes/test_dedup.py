@@ -1,10 +1,10 @@
 """Tests for configuration deduplication (paper, Section 5.4)."""
 
+from repro.analysis.dataflow import KnownFieldsAnalysis
 from repro.dialects import accfg, scf
 from repro.ir import parse_module, verify_operation
 from repro.passes import DedupPass, TraceStatesPass
 from repro.passes.dedup import (
-    KnownFieldsAnalysis,
     hoist_setups_into_branches,
     merge_consecutive_setups,
 )

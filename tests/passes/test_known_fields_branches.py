@@ -1,10 +1,10 @@
 """Tests for the known-fields dataflow through branches (Section 5.4.1:
 "our inference has to take the intersection of the two sides")."""
 
+from repro.analysis.dataflow import KnownFields, KnownFieldsAnalysis, intersect
 from repro.dialects import accfg, scf
-from repro.ir import parse_module
-from repro.passes import TraceStatesPass
-from repro.passes.dedup import KnownFieldsAnalysis
+from repro.ir import SSAValue, i64, parse_module
+from repro.passes import TraceStatesPass, pipeline_by_name
 
 
 def known_after_if(text):
@@ -125,3 +125,81 @@ class TestBranchIntersection:
         # "op" must still be written somewhere after the branch (inside the
         # branches after hoisting, or in the final setup).
         assert "op" in remaining
+
+
+class TestTopMeet:
+    """The meet of two optimistic tops ("whatever you need, except these
+    overrides"), as met when a loop-carried state joins an ``scf.if``."""
+
+    x = SSAValue(i64, "x")
+    y = SSAValue(i64, "y")
+
+    def test_agreeing_overrides_survive(self):
+        met = intersect(
+            KnownFields(True, {"n": self.x}), KnownFields(True, {"n": self.x})
+        )
+        assert met.is_top and met.fields == {"n": self.x}
+
+    def test_conflicting_overrides_become_unknown(self):
+        met = intersect(
+            KnownFields(True, {"n": self.x}), KnownFields(True, {"n": self.y})
+        )
+        assert met.is_top and met.fields == {"n": None}
+
+    def test_one_sided_override_is_kept_from_either_side(self):
+        only_a = intersect(KnownFields(True, {"n": self.x}), KnownFields.top())
+        only_b = intersect(KnownFields.top(), KnownFields(True, {"n": self.x}))
+        assert only_a.fields == only_b.fields == {"n": self.x}
+
+    def test_unknown_field_meets_concrete_value_as_unknown(self):
+        met = intersect(
+            KnownFields(False, {"n": self.x}), KnownFields(True, {"n": None})
+        )
+        assert not met.is_top and met.fields == {}
+
+
+class TestLoopCarriedBranchRewrite:
+    """Shrunk fuzz reproducer (toyvec): the loop body re-sets ``ptr_out``
+    before its launch, and a later ``scf.if`` in the same body points it at
+    another buffer.  The re-setup is needed from the second iteration on."""
+
+    TEXT = """
+    func.func @main(%c : i1) -> () {
+      %p0 = arith.constant 4288 : i64
+      %s0 = accfg.setup on "toyvec" ("ptr_out" = %p0 : i64) : !accfg.state<"toyvec">
+      %lb = arith.constant 0 : index
+      %one = arith.constant 1 : index
+      %ub = arith.constant 3 : index
+      scf.for %i = %lb to %ub step %one {
+        %p1 = arith.constant 4288 : i64
+        %s1 = accfg.setup on "toyvec" ("ptr_out" = %p1 : i64) : !accfg.state<"toyvec">
+        %t = accfg.launch %s1 : !accfg.token<"toyvec">
+        accfg.await %t
+        scf.if %c {
+          %p2 = arith.constant 4352 : i64
+          %s2 = accfg.setup on "toyvec" ("ptr_out" = %p2 : i64) : !accfg.state<"toyvec">
+          scf.yield
+        }
+        scf.yield
+      }
+      func.return
+    }
+    """
+
+    def test_dedup_keeps_the_in_loop_resetup(self):
+        module = parse_module(self.TEXT)
+        pipeline_by_name("dedup").run(module)
+        launch = next(
+            op for op in module.walk() if isinstance(op, accfg.LaunchOp)
+        )
+        feeding = launch.state.owner
+        assert isinstance(feeding, accfg.SetupOp)
+        assert "ptr_out" in feeding.field_names
+
+    def test_loop_entry_state_does_not_know_ptr_out(self):
+        module = parse_module(self.TEXT)
+        TraceStatesPass().apply(module)
+        loop = next(op for op in module.walk() if isinstance(op, scf.ForOp))
+        carried = loop.body.args[1]
+        assert "ptr_out" not in KnownFieldsAnalysis("toyvec").known(carried).fields
+

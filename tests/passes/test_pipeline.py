@@ -41,7 +41,7 @@ class TestPassManager:
         class CorruptingPass(ModulePass):
             name = "corrupting-test-pass"
 
-            def apply(self, module):
+            def apply(self, module, analyses=None):
                 # Move a terminator to a non-terminal position.
                 fn = module.body_block.ops[0]
                 body = fn.regions[0].block
@@ -58,7 +58,7 @@ class TestPassManager:
         class Dup(ModulePass):
             name = "canonicalize"
 
-            def apply(self, module):
+            def apply(self, module, analyses=None):
                 pass
 
         with pytest.raises(ValueError, match="registered twice"):

@@ -1,7 +1,8 @@
 """Tests for the one-live-state constraint checker (paper, Section 5.1)."""
 
+from repro.analysis.linearity import linearity_diagnostics
 from repro.ir import parse_module
-from repro.passes import TraceStatesPass, state_linearity_diagnostics
+from repro.passes import TraceStatesPass
 
 
 class TestLinearChains:
@@ -17,7 +18,7 @@ class TestLinearChains:
             """
         )
         TraceStatesPass().apply(module)
-        assert state_linearity_diagnostics(module) == []
+        assert linearity_diagnostics(module) == []
 
     def test_traced_loop_is_linear(self):
         module = parse_module(
@@ -37,7 +38,7 @@ class TestLinearChains:
             """
         )
         TraceStatesPass().apply(module)
-        assert state_linearity_diagnostics(module) == []
+        assert linearity_diagnostics(module) == []
 
     def test_pipelined_loop_is_linear(self):
         from repro.passes import pipeline_by_name
@@ -60,7 +61,7 @@ class TestLinearChains:
             """
         )
         pipeline_by_name("full").run(module)
-        assert state_linearity_diagnostics(module) == []
+        assert linearity_diagnostics(module) == []
 
 
 class TestViolations:
@@ -75,9 +76,9 @@ class TestViolations:
             }
             """
         )
-        diagnostics = state_linearity_diagnostics(module)
+        diagnostics = linearity_diagnostics(module)
         assert len(diagnostics) == 1
-        assert "forked" in diagnostics[0]
+        assert "forked" in diagnostics[0].message
 
     def test_launch_on_superseded_state_flagged(self):
         module = parse_module(
@@ -90,8 +91,8 @@ class TestViolations:
             }
             """
         )
-        diagnostics = state_linearity_diagnostics(module)
-        assert any("superseded state" in d for d in diagnostics)
+        diagnostics = linearity_diagnostics(module)
+        assert any("superseded state" in d.message for d in diagnostics)
 
     def test_untraced_disconnected_setups_allowed(self):
         """Frontend output before tracing: disconnected chains carry no
@@ -105,4 +106,4 @@ class TestViolations:
             }
             """
         )
-        assert state_linearity_diagnostics(module) == []
+        assert linearity_diagnostics(module) == []

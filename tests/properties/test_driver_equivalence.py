@@ -11,8 +11,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.ir import print_operation, use_driver, verify_operation
 from repro.passes import PIPELINES, pipeline_by_name
-
-from .program_gen import build, programs
+from repro.testing.generator import build, programs
 
 RELAXED = settings(
     max_examples=25,

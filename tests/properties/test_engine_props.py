@@ -13,9 +13,8 @@ from repro.interp import run_module
 from repro.ir import verify_operation
 from repro.passes import pipeline_by_name
 from repro.sim import CoSimulator
+from repro.testing.generator import build, programs
 from repro.testing.oracles import _engine_divergences
-
-from .program_gen import build, programs
 
 RELAXED = settings(
     max_examples=25,

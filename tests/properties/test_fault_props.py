@@ -18,8 +18,7 @@ from repro.faults import FaultInjector, FaultRates, RecoveryPolicy, ReliancePlan
 from repro.interp import InterpreterError, run_module
 from repro.passes import pipeline_by_name
 from repro.sim import CoSimulator
-
-from .program_gen import build, programs
+from repro.testing.generator import build, programs
 
 RELAXED = settings(
     max_examples=25,

@@ -14,8 +14,7 @@ from repro.ir import verify_operation
 from repro.passes import pipeline_by_name
 from repro.sim import CoSimulator
 from repro.sim.metrics import collect_metrics
-
-from .program_gen import build, golden_result, programs
+from repro.testing.generator import build, golden_result, programs
 
 RELAXED = settings(
     max_examples=40,

@@ -3,8 +3,7 @@
 from hypothesis import HealthCheck, given, settings
 
 from repro.ir import parse_module, verify_operation
-
-from .program_gen import build, programs
+from repro.testing.generator import build, programs
 
 RELAXED = settings(
     max_examples=30,

@@ -137,6 +137,32 @@ class TestDedupTiers:
         assert svc.outcome_hits == 0
         assert svc.module_hits == 0
 
+    def test_evicted_modules_release_their_analyses(self):
+        programs = [
+            PROGRAM.replace("arith.constant 3", f"arith.constant {k}")
+            for k in range(6)
+        ]
+
+        def cost_and_lint(svc, texts):
+            for text in texts:
+                assert svc.handle({"op": "cost", "module": text})["ok"]
+                assert svc.handle({"op": "lint", "module": text})["ok"]
+
+        one = service()
+        cost_and_lint(one, programs[:1])
+        bounded = service(module_cache_size=2)
+        cost_and_lint(bounded, programs)
+        # Only the two cached modules keep analyses, and eviction costs no
+        # hit: lint still reuses the cost request's analyses.
+        assert len(bounded.analyses) == 2 * len(one.analyses) > 0
+        assert bounded.analyses.hits == 6 * one.analyses.hits > 0
+
+    def test_dedup_off_keeps_no_analyses(self):
+        svc = service(dedup=False)
+        svc.handle({"op": "cost", "module": PROGRAM})
+        svc.handle({"op": "lint", "module": PROGRAM})
+        assert len(svc.analyses) == 0
+
     def test_outcome_cache_is_bounded(self):
         svc = service(outcome_cache_size=2)
         for value in (1, 2, 3):

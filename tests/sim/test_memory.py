@@ -37,6 +37,20 @@ class TestAllocation:
             mem.buffer_at(a.addr + 1000000)
 
 
+class TestMemoryDuplicate:
+    def test_duplicate_is_deep_and_preserves_layout(self):
+        memory = Memory()
+        buffer = memory.alloc(4, np.int64)
+        buffer.array[:] = [1, 2, 3, 4]
+        clone = memory.duplicate()
+        assert [b.array.tolist() for b in clone.buffers] == [[1, 2, 3, 4]]
+        assert clone.buffers[0].addr == buffer.addr
+        clone.buffers[0].array[0] = 99
+        assert buffer.array[0] == 1
+        # Allocation cursor is preserved: next addresses stay identical.
+        assert clone.alloc(2, np.int64).addr == memory.alloc(2, np.int64).addr
+
+
 class TestMatrixAccess:
     def test_read_matrix_row_major(self):
         mem = Memory()

@@ -30,7 +30,7 @@ class _PessimizePass(ModulePass):
     def __init__(self, copies: int = 64) -> None:
         self.copies = copies
 
-    def apply(self, module) -> None:
+    def apply(self, module, analyses=None) -> None:
         for op in module.walk():
             if isinstance(op, accfg.SetupOp) and op.fields:
                 prev = op
@@ -50,7 +50,7 @@ class _ForkStatePass(ModulePass):
 
     name = "test-fork-state"
 
-    def apply(self, module) -> None:
+    def apply(self, module, analyses=None) -> None:
         for op in module.walk():
             if isinstance(op, accfg.SetupOp) and op.in_state is not None:
                 clone = accfg.SetupOp.create(
@@ -148,7 +148,7 @@ class TestCrashOracle:
         class Boom(ModulePass):
             name = "test-boom"
 
-            def apply(self, module) -> None:
+            def apply(self, module, analyses=None) -> None:
                 raise RuntimeError("kaboom")
 
         pipelines = {
@@ -174,7 +174,7 @@ class TestDriverDivergenceOracle:
 
             name = "test-driver-sensitive"
 
-            def apply(self, module) -> None:
+            def apply(self, module, analyses=None) -> None:
                 if active_driver() != "sweep":
                     return
                 for op in module.walk():

@@ -73,16 +73,17 @@ class TestShardedFuzz:
         assert report.jobs == 2
         assert "2 job(s)" in report.summary()
 
-    def test_batch_engine_shards_match_sequential(self):
-        # `fuzz --jobs N --engine batch` together: the batch-vs-scalar
-        # lockstep cross-check must survive sharding with an identical
-        # merged report (same programs, same verdicts, same failure list).
+    def test_cross_checking_engine_shards_match_sequential(self):
+        # `fuzz --jobs N --engine both` together: the trace-vs-tree
+        # cross-check on every pipeline must survive sharding with an
+        # identical merged report (same programs, same verdicts, same
+        # failure list).
         sequential = fuzz(
             seed=0,
             iterations=8,
             backends=("toyvec",),
             corpus_dir=None,
-            engine="batch",
+            engine="both",
         )
         sharded = fuzz_sharded(
             jobs=2,
@@ -90,7 +91,7 @@ class TestShardedFuzz:
             iterations=8,
             backends=("toyvec",),
             corpus_dir=None,
-            engine="batch",
+            engine="both",
         )
         assert sharded.jobs == 2
         assert sharded.programs_run == sequential.programs_run == 8
