@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 from ..dialects import accfg, arith, func, scf
 from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import BlockArgument, SSAValue
-from ..isa.instructions import Instr, InstrCategory
+from ..isa.instructions import CTRL_INSTR, FOREIGN_INSTR, Instr, InstrCategory
 
 K = TypeVar("K")
 
@@ -615,10 +615,6 @@ class FunctionCostSummary:
 # ---------------------------------------------------------------------------
 
 
-_CONTROL_INSTR = Instr("ctrl", InstrCategory.CONTROL)
-_FOREIGN_INSTR = Instr("foreign", InstrCategory.COMPUTE)
-
-
 class CostAnalysis:
     """Per-module static cost analysis.
 
@@ -779,7 +775,7 @@ class _FunctionWalker:
                 self._trip_stack.pop()
             # Each iteration pays the back-edge's increment + compare&branch.
             per_iteration = body + CostVector.for_instrs(
-                [_CONTROL_INSTR, _CONTROL_INSTR]
+                [CTRL_INSTR, CTRL_INSTR]
             )
             return per_iteration.scale(trips)
         if isinstance(op, scf.IfOp):
@@ -794,7 +790,7 @@ class _FunctionWalker:
             finally:
                 self._cond_depth -= 1
             branch = then_cost.join(else_cost)
-            return CostVector.for_instrs([_CONTROL_INSTR]) + branch
+            return CostVector.for_instrs([CTRL_INSTR]) + branch
         if isinstance(op, (scf.YieldOp, func.ReturnOp)):
             return CostVector.zero()
         if isinstance(op, func.CallOp):
@@ -826,8 +822,8 @@ class _FunctionWalker:
                 if isinstance(state_type, accfg.StateType)
                 else "?"
             )
-            self._record_site(op, "reset", accelerator, [_CONTROL_INSTR])
-            return CostVector.for_instrs([_CONTROL_INSTR])
+            self._record_site(op, "reset", accelerator, [CTRL_INSTR])
+            return CostVector.for_instrs([CTRL_INSTR])
         # Extension point mirroring the interpreter's `interpret` hook: ops
         # that charge custom instruction streams advertise them statically
         # via `cost_instrs()`.
@@ -840,7 +836,7 @@ class _FunctionWalker:
             )
         if isinstance(op, UnregisteredOp):
             if accfg.get_effects(op) is not None and not op.results:
-                return CostVector.for_instrs([_FOREIGN_INSTR])
+                return CostVector.for_instrs([FOREIGN_INSTR])
             return CostVector.unmodeled_op(f"'{op.op_name}'")
         return CostVector.unmodeled_op(f"'{op.name}'")
 
@@ -872,7 +868,7 @@ class _FunctionWalker:
         return vector
 
     def _call_cost(self, op: func.CallOp) -> CostVector:
-        overhead = CostVector.for_instrs([_CONTROL_INSTR, _CONTROL_INSTR])
+        overhead = CostVector.for_instrs([CTRL_INSTR, CTRL_INSTR])
         callee = self.analysis._functions.get(op.callee)
         if callee is None or callee.is_declaration:
             return overhead + CostVector.unmodeled_op(
@@ -995,7 +991,7 @@ def compare_with_simulation(
 
     # Config cycles (Eq. 4): implied by the per-category counts, checked
     # explicitly so the cycle-level guarantee is stated in cycle units.
-    model = sim.cost_model
+    cycles_of = sim.cost_model.cycles_by_category
     config_categories = (
         InstrCategory.SETUP,
         InstrCategory.LAUNCH,
@@ -1006,7 +1002,7 @@ def compare_with_simulation(
     for (_, category), count in total.instrs.items():
         if category not in config_categories:
             continue
-        per = model.category_overrides.get(category, model.cycles_per_instr)
+        per = cycles_of[category]
         lo, hi = count.evaluate(bindings)
         lo_cycles += lo * per
         if hi is None:
@@ -1014,7 +1010,7 @@ def compare_with_simulation(
         else:
             hi_cycles += hi * per
     measured_cycles = sum(
-        model.category_overrides.get(i.category, model.cycles_per_instr)
+        cycles_of[i.category]
         for i in sim.trace.instrs
         if i.category in config_categories
     )

@@ -19,6 +19,7 @@ records (step 5 of the flow); the overlap pass consults
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
@@ -90,38 +91,55 @@ class AcceleratorSpec(ABC):
         return [sync_instr("poll", self.name)]
 
     # -- memoized instruction streams ---------------------------------------
+    #
+    # Instruction streams are pure functions of the field names and Instr
+    # records are frozen, so each spec hands out one shared tuple per stream.
+    # The co-simulator resolves a stream's cycles once per simulator, keyed
+    # on that tuple.
 
-    def _cached_instrs(self, kind: str, key: tuple, build) -> list[Instr]:
-        # Instruction streams are pure functions of the field-name tuple and
-        # Instr records are frozen, so one spec-local cache hands out shared
-        # tuples; callers get a fresh list they are free to extend.
-        cache = self.__dict__.get("_instr_cache")
-        if cache is None:
-            cache = self.__dict__["_instr_cache"] = {}
-        entry = cache.get((kind, key))
-        if entry is None:
-            entry = cache[(kind, key)] = tuple(build())
-        return list(entry)
+    @functools.cached_property
+    def _setup_streams(self) -> dict[tuple[str, ...], tuple[Instr, ...]]:
+        return {}
 
-    def setup_instrs_cached(self, field_names: "Sequence[str]") -> list[Instr]:
+    @functools.cached_property
+    def _launch_field_streams(self) -> dict[tuple[str, ...], tuple[Instr, ...]]:
+        return {}
+
+    @functools.cached_property
+    def _launch_stream(self) -> tuple[Instr, ...]:
+        return tuple(self.launch_instrs())
+
+    @functools.cached_property
+    def _sync_stream(self) -> tuple[Instr, ...]:
+        return tuple(self.sync_instrs())
+
+    def setup_instrs_cached(self, field_names: "Sequence[str]") -> tuple[Instr, ...]:
         """Memoized :meth:`setup_instrs` (the simulator hot path)."""
         key = tuple(field_names)
-        return self._cached_instrs("setup", key, lambda: self.setup_instrs(list(key)))
+        stream = self._setup_streams.get(key)
+        if stream is None:
+            stream = tuple(self.setup_instrs(list(key)))
+            self._setup_streams[key] = stream
+        return stream
 
-    def launch_field_instrs_cached(self, field_names: "Sequence[str]") -> list[Instr]:
+    def launch_field_instrs_cached(
+        self, field_names: "Sequence[str]"
+    ) -> tuple[Instr, ...]:
         """Memoized :meth:`launch_field_instrs`."""
         key = tuple(field_names)
-        return self._cached_instrs(
-            "launch-fields", key, lambda: self.launch_field_instrs(list(key))
-        )
+        stream = self._launch_field_streams.get(key)
+        if stream is None:
+            stream = tuple(self.launch_field_instrs(list(key)))
+            self._launch_field_streams[key] = stream
+        return stream
 
-    def launch_instrs_cached(self) -> list[Instr]:
+    def launch_instrs_cached(self) -> tuple[Instr, ...]:
         """Memoized :meth:`launch_instrs`."""
-        return self._cached_instrs("launch", (), self.launch_instrs)
+        return self._launch_stream
 
-    def sync_instrs_cached(self) -> list[Instr]:
+    def sync_instrs_cached(self) -> tuple[Instr, ...]:
         """Memoized :meth:`sync_instrs`."""
-        return self._cached_instrs("sync", (), self.sync_instrs)
+        return self._sync_stream
 
     def config_bytes(self, field_names: list[str]) -> int:
         """Configuration payload in bytes for the given fields."""

@@ -36,7 +36,7 @@ from ..interp.interpreter import config_feeding_ops
 from ..ir.attributes import IntegerType
 from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import SSAValue
-from ..isa.instructions import Instr, InstrCategory
+from ..isa.instructions import FOREIGN_INSTR, Instr, InstrCategory
 
 
 class TraceCompileError(Exception):
@@ -62,11 +62,6 @@ OP_RESET = 13
 OP_CALL = 14
 OP_RETURN = 15
 OP_FOREIGN = 16
-
-#: Shared control-flow charge record (frozen, compared by value — reusing
-#: one instance is indistinguishable from the interpreter's fresh ones).
-CTRL_INSTR = Instr("ctrl", InstrCategory.CONTROL)
-FOREIGN_INSTR = Instr("foreign", InstrCategory.COMPUTE)
 
 
 @dataclass

@@ -10,13 +10,14 @@ fuzzed program).  The speed comes from doing per-execution work only:
 * opcode dispatch on small ints instead of ``isinstance`` ladders;
 * SSA environments as flat lists indexed by precomputed slots;
 * host-instruction charging inlined (span + trace append + time bump)
-  with per-instruction cycle costs resolved once per cost model.
+  with each record's cycles and span kind resolved once per run.
 """
 
 from __future__ import annotations
 
 from ..dialects.builtin import ModuleOp
 from ..interp.interpreter import InterpreterError, StateHandle
+from ..isa.instructions import CTRL_INSTR
 from ..sim.cosim import _SPAN_FOR_CATEGORY, CoSimulator
 from ..sim.device import FaultError, LaunchToken
 from ..sim.timeline import Span
@@ -38,7 +39,6 @@ from .compiler import (
     OP_RETURN,
     OP_SELECT,
     OP_SETUP,
-    CTRL_INSTR,
     CompiledFunction,
     CompiledModule,
     TraceCompileError,
@@ -101,20 +101,24 @@ class TraceExecutor:
 
     # -- dispatch loop ---------------------------------------------------
 
-    def _cycles_kind(self, instr):
-        entry = self._cost.get(id(instr))
-        if entry is None:
-            cycles = self.sim.cost_model.cycles(instr)
-            entry = (cycles, _SPAN_FOR_CATEGORY[instr.category], instr)
-            self._cost[id(instr)] = entry
+    def _resolve(self, instr) -> tuple:
+        """Enter a record seen for the first time into the cost table."""
+        entry = (
+            self.sim.cost_model.cycles(instr),
+            _SPAN_FOR_CATEGORY[instr.category],
+            instr,
+        )
+        self._cost[id(instr)] = entry
         return entry
 
     def _exec(self, fn: CompiledFunction, frame: list) -> list:
         sim = self.sim
         code = fn.code
-        cost = self._cycles_kind
-        spans = sim.timeline.spans
-        spans_append = spans.append
+        cost = self._cost.get
+        resolve = self._resolve
+        ctrl_cycles, ctrl_kind, _ = cost(id(CTRL_INSTR)) or resolve(CTRL_INSTR)
+        new = tuple.__new__
+        spans_append = sim.timeline.spans.append
         trace_append = sim.trace.instrs.append
         reset_states = self._reset_states
         pc = 0
@@ -132,10 +136,10 @@ class TraceExecutor:
                     raise _not_int(rhs)
                 value = evaluate(None, lhs, rhs)
                 frame[dst] = value & mask if mask is not None else value
-                cycles, kind, _ = cost(instr)
+                cycles, kind, _ = cost(id(instr)) or resolve(instr)
                 t = sim.host_time
                 if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
+                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
                 sim.host_time = t + cycles
                 trace_append(instr)
                 pc += 1
@@ -150,14 +154,13 @@ class TraceExecutor:
                 _, iv, ub, exit_target = ins
                 if frame[iv] < frame[ub]:
                     # Increment + compare&branch of the loop back-edge.
-                    cycles, kind, _ = cost(CTRL_INSTR)
                     t = sim.host_time
-                    if cycles > 0:
-                        spans_append(Span("host", kind, t, t + cycles, ""))
-                        spans_append(
-                            Span("host", kind, t + cycles, t + 2 * cycles, "")
-                        )
-                    sim.host_time = t + 2 * cycles
+                    end = t + 2 * ctrl_cycles
+                    if ctrl_cycles > 0:
+                        mid = t + ctrl_cycles
+                        spans_append(new(Span, ("host", ctrl_kind, t, mid, "")))
+                        spans_append(new(Span, ("host", ctrl_kind, mid, end, "")))
+                    sim.host_time = end
                     trace_append(CTRL_INSTR)
                     trace_append(CTRL_INSTR)
                     pc += 1
@@ -174,10 +177,10 @@ class TraceExecutor:
             if opcode == OP_CONST:
                 _, dst, value, instr = ins
                 frame[dst] = value
-                cycles, kind, _ = cost(instr)
+                cycles, kind, _ = cost(id(instr)) or resolve(instr)
                 t = sim.host_time
                 if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
+                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
                 sim.host_time = t + cycles
                 trace_append(instr)
                 pc += 1
@@ -192,10 +195,10 @@ class TraceExecutor:
                 if not isinstance(rhs, int):
                     raise _not_int(rhs)
                 frame[dst] = int(_evaluate_predicate(predicate, lhs, rhs, width))
-                cycles, kind, _ = cost(instr)
+                cycles, kind, _ = cost(id(instr)) or resolve(instr)
                 t = sim.host_time
                 if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
+                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
                 sim.host_time = t + cycles
                 trace_append(instr)
                 pc += 1
@@ -207,10 +210,10 @@ class TraceExecutor:
                 if not isinstance(cond, int):
                     raise _not_int(cond)
                 frame[dst] = frame[tv if cond else fv]
-                cycles, kind, _ = cost(instr)
+                cycles, kind, _ = cost(id(instr)) or resolve(instr)
                 t = sim.host_time
                 if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
+                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
                 sim.host_time = t + cycles
                 trace_append(instr)
                 pc += 1
@@ -221,11 +224,12 @@ class TraceExecutor:
                 cond = frame[cond_slot]
                 if not isinstance(cond, int):
                     raise _not_int(cond)
-                cycles, kind, _ = cost(CTRL_INSTR)
                 t = sim.host_time
-                if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
-                sim.host_time = t + cycles
+                if ctrl_cycles > 0:
+                    spans_append(
+                        new(Span, ("host", ctrl_kind, t, t + ctrl_cycles, ""))
+                    )
+                sim.host_time = t + ctrl_cycles
                 trace_append(CTRL_INSTR)
                 pc = pc + 1 if cond else false_target
                 continue
@@ -338,11 +342,12 @@ class TraceExecutor:
                     )
                     if sim.faults is not None:
                         sim.exec_reset(handle.accelerator)
-                cycles, kind, _ = cost(CTRL_INSTR)
                 t = sim.host_time
-                if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
-                sim.host_time = t + cycles
+                if ctrl_cycles > 0:
+                    spans_append(
+                        new(Span, ("host", ctrl_kind, t, t + ctrl_cycles, ""))
+                    )
+                sim.host_time = t + ctrl_cycles
                 trace_append(CTRL_INSTR)
                 pc += 1
                 continue
@@ -354,14 +359,13 @@ class TraceExecutor:
                     raise InterpreterError(
                         f"call to unknown/declared function '@{callee_name}'"
                     )
-                cycles, kind, _ = cost(CTRL_INSTR)  # call + return jumps
-                t = sim.host_time
-                if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
-                    spans_append(
-                        Span("host", kind, t + cycles, t + 2 * cycles, "")
-                    )
-                sim.host_time = t + 2 * cycles
+                t = sim.host_time  # call + return jumps
+                end = t + 2 * ctrl_cycles
+                if ctrl_cycles > 0:
+                    mid = t + ctrl_cycles
+                    spans_append(new(Span, ("host", ctrl_kind, t, mid, "")))
+                    spans_append(new(Span, ("host", ctrl_kind, mid, end, "")))
+                sim.host_time = end
                 trace_append(CTRL_INSTR)
                 trace_append(CTRL_INSTR)
                 if self._call_depth >= self.max_call_depth:
@@ -387,10 +391,10 @@ class TraceExecutor:
 
             if opcode == OP_FOREIGN:
                 instr = ins[1]
-                cycles, kind, _ = cost(instr)
+                cycles, kind, _ = cost(id(instr)) or resolve(instr)
                 t = sim.host_time
                 if cycles > 0:
-                    spans_append(Span("host", kind, t, t + cycles, ""))
+                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
                 sim.host_time = t + cycles
                 trace_append(instr)
                 pc += 1

@@ -24,11 +24,17 @@ from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import SSAValue
 from ..sim.cosim import CoSimulator
 from ..sim.device import FaultError, LaunchToken
-from ..isa.instructions import Instr, InstrCategory
+from ..isa.instructions import CTRL_INSTR, FOREIGN_INSTR, Instr, InstrCategory
 
 
 class InterpreterError(Exception):
     """Raised when a program cannot be interpreted."""
+
+
+#: control charges by record count (one branch; a loop back-edge or a call's
+#: two jumps), shared so the simulator resolves each stream once
+_CONTROL_STREAMS = {1: (CTRL_INSTR,), 2: (CTRL_INSTR, CTRL_INSTR)}
+_FOREIGN_STREAM = (FOREIGN_INSTR,)
 
 
 def _fail(op: Operation, message: str) -> "InterpreterError":
@@ -83,6 +89,8 @@ class Interpreter:
             if isinstance(op, func.FuncOp):
                 self._functions[op.sym_name] = op
         self._config_feeding = config_feeding_ops(module)
+        #: scalar op -> the one-record stream it charges, built on first run
+        self._scalar_streams: dict[Operation, tuple[Instr]] = {}
         self._state_counter = 0
         self._call_depth = 0
         self.max_call_depth = 256
@@ -126,17 +134,18 @@ class Interpreter:
         return []
 
     def _charge_scalar(self, op: Operation, mnemonic: str) -> None:
-        category = (
-            InstrCategory.CALC
-            if op in self._config_feeding
-            else InstrCategory.COMPUTE
-        )
-        self.sim.charge_one(Instr(mnemonic, category))
+        stream = self._scalar_streams.get(op)
+        if stream is None:
+            category = (
+                InstrCategory.CALC
+                if op in self._config_feeding
+                else InstrCategory.COMPUTE
+            )
+            stream = self._scalar_streams[op] = (Instr(mnemonic, category),)
+        self.sim.charge(stream)
 
     def _charge_control(self, count: int = 1) -> None:
-        self.sim.charge(
-            [Instr("ctrl", InstrCategory.CONTROL) for _ in range(count)]
-        )
+        self.sim.charge(_CONTROL_STREAMS[count])
 
     def _run_op(self, op: Operation, env: dict[SSAValue, object]):
         if isinstance(op, arith.ConstantOp):
@@ -261,7 +270,7 @@ class Interpreter:
             # executable as opaque host work as long as they produce no
             # values the program needs.
             if accfg.get_effects(op) is not None and not op.results:
-                self.sim.charge_one(Instr("foreign", InstrCategory.COMPUTE))
+                self.sim.charge(_FOREIGN_STREAM)
                 return None
             raise _fail(op, f"cannot interpret unregistered op '{op.op_name}'")
         raise _fail(op, f"cannot interpret op '{op.name}'")

@@ -11,6 +11,7 @@ else — the split that defines effective configuration bandwidth (Eq. 4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,17 +70,44 @@ def branch() -> Instr:
     return Instr("branch", InstrCategory.CONTROL)
 
 
-@dataclass
+_CATEGORIES = tuple(InstrCategory)
+
+#: The record every engine charges for one loop, branch or call jump, and
+#: the one it charges for an opaque foreign op.  Records compare by value,
+#: so sharing one instance is indistinguishable from building fresh ones.
+CTRL_INSTR = Instr("ctrl", InstrCategory.CONTROL)
+FOREIGN_INSTR = Instr("foreign", InstrCategory.COMPUTE)
+
+
+@dataclass(frozen=True)
 class HostCostModel:
     """Converts instruction records into cycles.
 
     The paper approximates the Rocket host with 3 cycles per instruction (the
     inverse harmonic mean of the IPC survey in [17], footnote 4); per-category
     overrides let targets model e.g. slow MMIO writes.
+
+    A model is immutable: the co-simulator resolves each instruction stream
+    against :attr:`cycles_by_category` once and replays the result.
     """
 
     cycles_per_instr: float = 3.0
     category_overrides: dict[InstrCategory, float] = field(default_factory=dict)
+    #: cycles of one instruction of each category, overrides applied
+    cycles_by_category: dict[InstrCategory, float] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        table = dict.fromkeys(_CATEGORIES, self.cycles_per_instr)
+        table.update(self.category_overrides)
+        for value in table.values():
+            if not 0 <= value < math.inf:  # also false for NaN
+                raise ValueError(
+                    f"host cycles per instruction must be finite and "
+                    f"non-negative, got {value!r}"
+                )
+        object.__setattr__(self, "cycles_by_category", table)
 
     def cycles(self, instr: Instr) -> float:
-        return self.category_overrides.get(instr.category, self.cycles_per_instr)
+        return self.cycles_by_category[instr.category]

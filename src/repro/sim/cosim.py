@@ -13,7 +13,7 @@ same first-order interaction: configuration cycles, stalls, and overlap.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..backends.base import get_accelerator
 from ..isa.instructions import HostCostModel, Instr, InstrCategory, sync_instr
@@ -36,6 +36,9 @@ _SPAN_FOR_CATEGORY = {
     InstrCategory.SYNC: SpanKind.STALL,
 }
 
+#: Cost models are immutable, so one default serves every simulator.
+_DEFAULT_COST_MODEL = HostCostModel()
+
 
 class CoSimulator:
     """Discrete-event co-simulation of one host plus its accelerators."""
@@ -50,15 +53,16 @@ class CoSimulator:
         reliance: "ReliancePlan | None" = None,
     ) -> None:
         self.memory = memory if memory is not None else Memory()
-        self.cost_model = cost_model or HostCostModel()
+        self.cost_model = cost_model or _DEFAULT_COST_MODEL
         self.functional = functional
         self.host_time = 0.0
         self.trace = Trace()
         self.timeline = Timeline()
         self._devices: dict[str, AcceleratorDevice] = {}
-        #: category -> cycles, resolved lazily against the cost model (the
-        #: model is caller-provided, so resolution waits until first charge)
-        self._cycles_by_category: dict[InstrCategory, float] | None = None
+        #: id(stream) -> (charge plan, stream) for every shared stream this
+        #: simulator charged; the entry holds the stream, so the id stays
+        #: valid while the plan does
+        self._plans: dict[int, tuple[tuple, tuple[Instr, ...]]] = {}
         # -- fault injection / recovery runtime (repro.faults) -------------
         #: attached fault injector; None keeps the fault-free fast paths
         self.faults = faults
@@ -85,11 +89,12 @@ class CoSimulator:
     # -- devices ---------------------------------------------------------
 
     def device(self, accelerator: str) -> AcceleratorDevice:
-        if accelerator not in self._devices:
-            self._devices[accelerator] = AcceleratorDevice(
+        device = self._devices.get(accelerator)
+        if device is None:
+            device = self._devices[accelerator] = AcceleratorDevice(
                 get_accelerator(accelerator), self.memory
             )
-        return self._devices[accelerator]
+        return device
 
     @property
     def devices(self) -> dict[str, AcceleratorDevice]:
@@ -97,46 +102,58 @@ class CoSimulator:
 
     # -- host instruction charging -----------------------------------------
 
-    def charge(self, instrs: list[Instr], label: str = "") -> None:
-        """Execute host instructions back to back at the current time."""
-        if not instrs:
-            return
-        # Inlined Timeline.record / Trace.append: this loop runs once per
-        # simulated host instruction and dominates execution time.
+    def charge(self, instrs: Iterable[Instr], label: str = "") -> None:
+        """Execute host instructions back to back at the current time.
+
+        Each record costs its category's cycles and, when that is above
+        zero, leaves one host span.  A tuple is taken to be a shared stream
+        (a spec's ``*_instrs_cached`` streams, the interpreter's per-op
+        records): its plan is resolved on first charge and kept for this
+        simulator's life.  Any other iterable is resolved afresh, so a
+        one-off stream should not come as a tuple.
+        """
+        if type(instrs) is tuple:
+            entry = self._plans.get(id(instrs))
+            if entry is None:
+                entry = self._plans[id(instrs)] = (self._plan(instrs), instrs)
+            plan = entry[0]
+        else:
+            instrs = list(instrs)  # any iterable, read twice below
+            plan = self._plan(instrs)
         time = self.host_time
-        spans = self.timeline.spans
-        record = self.trace.instrs.append
-        cycles_by_category = self._cycles_by_category
-        if cycles_by_category is None:
-            model = self.cost_model
-            cycles_by_category = self._cycles_by_category = {
-                category: model.category_overrides.get(
-                    category, model.cycles_per_instr
-                )
-                for category in InstrCategory
-            }
-        for instr in instrs:
-            cycles = cycles_by_category[instr.category]
-            if cycles > 0:
-                spans.append(
-                    Span(
-                        "host",
-                        _SPAN_FOR_CATEGORY[instr.category],
-                        time,
-                        time + cycles,
-                        label,
-                    )
-                )
-            record(instr)
-            time += cycles
+        append = self.timeline.spans.append
+        new = tuple.__new__
+        for kind, cycles in plan:
+            end = time + cycles
+            append(new(Span, ("host", kind, time, end, label)))
+            time = end
+        self.trace.instrs.extend(instrs)
         self.host_time = time
+
+    def _plan(self, instrs: Sequence[Instr]) -> tuple:
+        """(span kind, cycles) of each record that takes time, in order.
+
+        Records of zero cycles leave no span and do not move the clock
+        (adding zero is exact), so replaying only these is the per-record
+        definition.
+        """
+        cycles_of = self.cost_model.cycles_by_category
+        plan = []
+        for instr in instrs:
+            cycles = cycles_of[instr.category]
+            if cycles > 0:
+                plan.append((_SPAN_FOR_CATEGORY[instr.category], cycles))
+        return tuple(plan)
 
     def charge_one(self, instr: Instr, label: str = "") -> None:
         self.charge([instr], label)
 
     def stall_until(self, when: float, label: str = "") -> None:
-        if when > self.host_time:
-            self.timeline.record("host", SpanKind.STALL, self.host_time, when, label)
+        now = self.host_time
+        if when > now:
+            self.timeline.spans.append(
+                tuple.__new__(Span, ("host", SpanKind.STALL, now, when, label))
+            )
             self.host_time = when
 
     # -- accfg semantics -------------------------------------------------
@@ -159,8 +176,9 @@ class CoSimulator:
             return
         start = device.write_fields(fields, self.host_time)
         self.stall_until(start, "sequential-config stall")
-        instrs = device.spec.setup_instrs_cached(tuple(fields))
-        self.charge(instrs, f"setup {accelerator}")
+        self.charge(
+            device.spec.setup_instrs_cached(tuple(fields)), device.setup_label
+        )
 
     def exec_launch(
         self,
@@ -185,9 +203,9 @@ class CoSimulator:
             if launch_fields:
                 self.charge(
                     device.spec.launch_field_instrs_cached(tuple(launch_fields)),
-                    f"launch-config {accelerator}",
+                    device.launch_config_label,
                 )
-            self.charge(device.spec.launch_instrs_cached(), f"launch {accelerator}")
+            self.charge(device.spec.launch_instrs_cached(), device.launch_label)
         token = device.launch(
             self.host_time, launch_fields or {}, functional=self.functional
         )
@@ -197,18 +215,22 @@ class CoSimulator:
             self._shadow.setdefault(device.name, {}).update(
                 {name: int(value) for name, value in launch_fields.items()}
             )
-        self.timeline.record(
-            accelerator, SpanKind.ACCEL, token.start, token.end, "macro-op"
-        )
+        _, _, start, end, _ = token
+        if end > start:
+            self.timeline.spans.append(
+                tuple.__new__(
+                    Span, (accelerator, SpanKind.ACCEL, start, end, "macro-op")
+                )
+            )
         return token
 
     def exec_await(self, token: LaunchToken) -> None:
         """Perform one ``accfg.await``: poll until the launch completes."""
         device = token.device
-        self.charge(device.spec.sync_instrs_cached(), f"await {device.name}")
+        self.charge(device.spec.sync_instrs_cached(), device.await_label)
         if self.faults is not None:
             self._watchdog_await(device)
-        self.stall_until(token.end, f"await {device.name}")
+        self.stall_until(token.end, device.await_label)
 
     # -- fault injection and the recovery runtime ---------------------------
     #
@@ -233,7 +255,7 @@ class CoSimulator:
         site: "Operation | None",
     ) -> None:
         self._check_state_loss(device, site)
-        self._verified_write(device, fields, f"setup {device.name}")
+        self._verified_write(device, fields, device.setup_label)
 
     def _check_state_loss(
         self, device: AcceleratorDevice, site: "Operation | None"
@@ -391,11 +413,9 @@ class CoSimulator:
             if launch_fields:
                 self.charge(
                     device.spec.launch_field_instrs_cached(tuple(launch_fields)),
-                    f"launch-config {device.name}",
+                    device.launch_config_label,
                 )
-            self.charge(
-                device.spec.launch_instrs_cached(), f"launch {device.name}"
-            )
+            self.charge(device.spec.launch_instrs_cached(), device.launch_label)
             # Acknowledge read: did the interface accept the command?
             self.charge_one(
                 sync_instr("launch-ack", device.name),

@@ -15,7 +15,7 @@ functional execution of macro-operations against simulated memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..backends.base import AcceleratorSpec
 from .memory import Memory
@@ -36,9 +36,13 @@ class FaultError(SimulationError):
     """
 
 
-@dataclass(frozen=True)
-class LaunchToken:
-    """Handle of one in-flight launch."""
+class LaunchToken(NamedTuple):
+    """Handle of one in-flight launch.
+
+    A named tuple: the engines hash every token several times per
+    launch/await pair (double-await and reset-epoch tracking), and a tuple
+    hashes in C.
+    """
 
     device: "AcceleratorDevice"
     index: int
@@ -53,6 +57,12 @@ class AcceleratorDevice:
     def __init__(self, spec: AcceleratorSpec, memory: Memory) -> None:
         self.spec = spec
         self.memory = memory
+        #: timeline labels of the host work charged for this device,
+        #: formatted once instead of per charge
+        self.setup_label = f"setup {spec.name}"
+        self.launch_config_label = f"launch-config {spec.name}"
+        self.launch_label = f"launch {spec.name}"
+        self.await_label = f"await {spec.name}"
         self.registers: dict[str, int] = {}
         self.staged: dict[str, int] = {}
         self.busy_until: float = 0.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class SpanKind(str, Enum):
@@ -29,9 +30,13 @@ _GLYPHS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
-    """A half-open interval ``[start, end)`` of activity by one actor."""
+class Span(NamedTuple):
+    """A half-open interval ``[start, end)`` of activity by one actor.
+
+    A named tuple, so the simulator's hot loops can build one with
+    ``tuple.__new__(Span, (...))`` and skip the per-field assignment a
+    frozen dataclass pays.
+    """
 
     actor: str  # "host" or accelerator name
     kind: SpanKind
@@ -68,10 +73,16 @@ class Timeline:
         return seen
 
     def busy_time(self, actor: str, kind: SpanKind | None = None) -> float:
+        # By index, kind first: a tuple subclass indexes faster than it
+        # unpacks or reads a named field (CPython's fast paths take exact
+        # tuples only), and the kind identity test rules out most spans.
+        # The terms and their order are those of ``span.duration``.
+        if kind is None:
+            return sum(span[3] - span[2] for span in self.spans if span[0] == actor)
         return sum(
-            span.duration
+            span[3] - span[2]
             for span in self.spans
-            if span.actor == actor and (kind is None or span.kind is kind)
+            if span[1] is kind and span[0] == actor
         )
 
     def idle_time(self, actor: str) -> float:

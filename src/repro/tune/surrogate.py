@@ -72,7 +72,7 @@ def score_built(
             raise SurrogateError(
                 f"candidate {cand.key}: non-exact instruction count"
             )
-        per = model.category_overrides.get(category, model.cycles_per_instr)
+        per = model.cycles_by_category[category]
         host_cycles += lo * per
         if category in _CONFIG_CATEGORIES:
             config_cycles += lo * per
