@@ -88,7 +88,7 @@ class SymExpr:
     def const(value: int) -> "SymExpr":
         if value < 0:
             raise ValueError(f"cost expressions are nonnegative, got {value}")
-        return SymExpr._make({(): value})
+        return SymExpr((((), value),)) if value else SymExpr()
 
     @staticmethod
     def param(name: str) -> "SymExpr":
@@ -177,6 +177,14 @@ def _termwise(
     sound lower bound for ``min(a, b)`` and the termwise maximum a sound
     upper bound for ``max(a, b)`` at every parameter valuation.
     """
+    if (
+        len(a.terms) == 1
+        and len(b.terms) == 1
+        and a.terms[0][0] == b.terms[0][0]
+    ):
+        # Like single terms, the common case of two exact counts: both
+        # coefficients are positive, so the picked one needs no filtering.
+        return SymExpr(((a.terms[0][0], pick(a.terms[0][1], b.terms[0][1])),))
     terms_a = dict(a.terms)
     terms_b = dict(b.terms)
     return SymExpr._make(
@@ -295,13 +303,6 @@ def _substitute_bound(
 _ZERO_RANGE = CostRange()
 _ONE_RANGE = CostRange.exact(1)
 
-#: Unit cost vectors per instruction tuple (see ``CostVector.for_instrs``).
-#: Bounded so adversarial inputs (e.g. fuzzed field-name combinations)
-#: cannot grow it without limit; on overflow new tuples are simply not
-#: memoized.
-_FOR_INSTRS_MEMO: dict[tuple[Instr, ...], "CostVector"] = {}
-_FOR_INSTRS_MEMO_CAP = 4096
-
 
 # ---------------------------------------------------------------------------
 # Cost vectors
@@ -355,43 +356,11 @@ class CostVector:
         return CostVector()
 
     @staticmethod
-    def for_instrs(
-        instrs: Iterable[Instr], count: CostRange = _ONE_RANGE
-    ) -> "CostVector":
-        # The accumulation hot path: every accfg op in every walked function
-        # converts an instruction list into a vector, and those lists are
-        # the handful of per-spec cached streams (setup/launch/sync per
-        # field-name combination), so the symbolic sums repeat endlessly.
-        # Memoize the unit vector per instruction tuple and hand out copies
-        # (callers mutate the result, e.g. `_launch_cost`).
-        key = tuple(instrs)
-        base = _FOR_INSTRS_MEMO.get(key)
-        if base is None:
-            base = CostVector()
-            for instr in key:
-                ikey: InstrKey = (instr.accelerator, instr.category)
-                base.instrs[ikey] = base.instrs.get(ikey, _ZERO_RANGE) + _ONE_RANGE
-                if instr.config_bytes:
-                    bucket = instr.accelerator
-                    base.config_bytes[bucket] = base.config_bytes.get(
-                        bucket, _ZERO_RANGE
-                    ) + CostRange.exact(instr.config_bytes)
-            if len(_FOR_INSTRS_MEMO) < _FOR_INSTRS_MEMO_CAP:
-                _FOR_INSTRS_MEMO[key] = base
-        if count is _ONE_RANGE:
-            return base.copy()
-        return base.scale(count)
-
-    def copy(self) -> "CostVector":
-        """Shallow per-map copy (entries are immutable ranges)."""
-        return CostVector(
-            instrs=dict(self.instrs),
-            config_bytes=dict(self.config_bytes),
-            launches=dict(self.launches),
-            ops=dict(self.ops),
-            indeterminate_ops=set(self.indeterminate_ops),
-            unmodeled=set(self.unmodeled),
-        )
+    def for_instrs(instrs: Iterable[Instr]) -> "CostVector":
+        """The cost of executing one instruction stream once."""
+        counts = _Counts()
+        counts.add(instrs)
+        return counts.vector()
 
     @staticmethod
     def unmodeled_op(name: str) -> "CostVector":
@@ -502,6 +471,71 @@ class CostVector:
             *self.launches.values(),
         ]
         return all(value.is_exact for value in values) and not self.unmodeled
+
+
+class _Counts:
+    """Plain-int tallies of straight-line charges.
+
+    ``block_cost`` adds a whole run of straight-line ops here and turns the
+    tallies into ranges once (:meth:`flush_into`), instead of building and
+    summing one :class:`CostVector` per op.  The dicts keep first-charge
+    order, so keys reach the total in the order the op-by-op fold gives.
+    """
+
+    __slots__ = ("instrs", "config_bytes", "launches", "ops", "indeterminate")
+
+    def __init__(self) -> None:
+        self.instrs: dict[InstrKey, int] = {}
+        self.config_bytes: dict["str | None", int] = {}
+        self.launches: dict[str, int] = {}
+        self.ops: dict[str, int] = {}
+        self.indeterminate: set[str] = set()
+
+    def add(self, instrs: Iterable[Instr]) -> int:
+        """Tally one instruction stream; returns its configuration bytes."""
+        counts = self.instrs
+        stream_bytes = 0
+        for instr in instrs:
+            key = (instr.accelerator, instr.category)
+            counts[key] = counts.get(key, 0) + 1
+            if instr.config_bytes:
+                stream_bytes += instr.config_bytes
+                bucket = instr.accelerator
+                self.config_bytes[bucket] = (
+                    self.config_bytes.get(bucket, 0) + instr.config_bytes
+                )
+        return stream_bytes
+
+    def add_launch(self, accelerator: str, static_ops: int | None) -> None:
+        self.launches[accelerator] = self.launches.get(accelerator, 0) + 1
+        if static_ops is None:
+            self.indeterminate.add(accelerator)
+        else:
+            self.ops[accelerator] = self.ops.get(accelerator, 0) + static_ops
+
+    def flush_into(self, total: CostVector) -> None:
+        """Add the tallies to ``total`` as exact ranges, then reset them."""
+        for source, target in (
+            (self.instrs, total.instrs),
+            (self.config_bytes, total.config_bytes),
+            (self.launches, total.launches),
+            (self.ops, total.ops),
+        ):
+            if not source:
+                continue
+            for key, count in source.items():
+                value = CostRange.exact(count)
+                current = target.get(key)
+                target[key] = value if current is None else current + value
+            source.clear()
+        if self.indeterminate:
+            total.indeterminate_ops |= self.indeterminate
+            self.indeterminate.clear()
+
+    def vector(self) -> CostVector:
+        vector = CostVector()
+        self.flush_into(vector)
+        return vector
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +664,7 @@ class CostAnalysis:
 
         self.module = module
         self._functions: dict[str, func.FuncOp] = {}
-        for op in module.walk():
+        for op in module.walk_list():
             if isinstance(op, func.FuncOp):
                 self._functions.setdefault(op.sym_name, op)
         self._feeding = config_feeding_ops(module)
@@ -674,6 +708,17 @@ class CostAnalysis:
         return result
 
 
+_SCALAR_OPS = (arith.ConstantOp, arith.BinaryOp, arith.CmpiOp, arith.SelectOp)
+#: what one scalar op charges: a config-feeding one calc, any other compute
+_CALC_STREAM = (Instr("alu", InstrCategory.CALC),)
+_COMPUTE_STREAM = (Instr("alu", InstrCategory.COMPUTE),)
+#: a branch or a reset; a loop back-edge (increment + compare&branch) or a
+#: call (call + return jumps); an opaque foreign op
+_CTRL_STREAM = (CTRL_INSTR,)
+_CTRL_PAIR_STREAM = (CTRL_INSTR, CTRL_INSTR)
+_FOREIGN_STREAM = (FOREIGN_INSTR,)
+
+
 class _FunctionWalker:
     """Structural walk of one function body, mirroring the interpreter's
     charging discipline op for op."""
@@ -688,13 +733,18 @@ class _FunctionWalker:
         self._params: dict[SSAValue, str] = {
             arg: f"arg{i}" for i, arg in enumerate(fn.args)
         }
+        self._specs: dict[str, AcceleratorSpec | None] = {}
 
     # -- helpers ---------------------------------------------------------
 
     def _spec(self, accelerator: str) -> "AcceleratorSpec | None":
-        from ..backends.base import get_accelerator_or_none
+        """The accelerator's spec (None when unknown), looked up once."""
+        specs = self._specs
+        if accelerator not in specs:
+            from ..backends.base import get_accelerator_or_none
 
-        return get_accelerator_or_none(accelerator)
+            specs[accelerator] = get_accelerator_or_none(accelerator)
+        return specs[accelerator]
 
     def _site_trips(self) -> CostRange:
         trips = _ONE_RANGE
@@ -707,31 +757,23 @@ class _FunctionWalker:
         op: Operation,
         kind: str,
         accelerator: str,
-        instrs: Iterable[Instr],
+        instrs: tuple[Instr, ...],
+        config_bytes: int,
         ops: int | None = None,
     ) -> None:
-        instr_tuple = tuple(instrs)
         self.sites.append(
             CostSite(
                 op=op,
                 kind=kind,
                 accelerator=accelerator,
-                instrs=instr_tuple,
-                config_bytes=sum(i.config_bytes for i in instr_tuple),
+                instrs=instrs,
+                config_bytes=config_bytes,
                 trip_count=self._site_trips(),
                 loops=tuple(self._loops),
                 conditional=self._cond_depth > 0,
                 ops=ops,
             )
         )
-
-    def _scalar_cost(self, op: Operation) -> CostVector:
-        category = (
-            InstrCategory.CALC
-            if op in self.analysis._feeding
-            else InstrCategory.COMPUTE
-        )
-        return CostVector.for_instrs([Instr("alu", category)])
 
     def trip_range(self, op: scf.ForOp) -> CostRange:
         """The symbolic iteration count of one ``scf.for``."""
@@ -754,16 +796,106 @@ class _FunctionWalker:
     # -- the walk --------------------------------------------------------
 
     def block_cost(self, block: "Block") -> CostVector:
-        total = CostVector.zero()
+        """The sum of :meth:`op_cost` over ``block``'s ops.
+
+        Each run of straight-line ops is tallied as plain ints and added to
+        the total before the next other op and at the block end, so keys
+        enter the total in the same order as in the op-by-op fold.
+        """
+        total = CostVector()
+        counts = _Counts()
+        charge = self._charge
         for op in block.ops:
-            total.iadd(self.op_cost(op))
+            if not charge(op, counts):
+                counts.flush_into(total)
+                total.iadd(self.op_cost(op))
+        counts.flush_into(total)
         return total
 
-    def op_cost(self, op: Operation) -> CostVector:
-        if isinstance(
-            op, (arith.ConstantOp, arith.BinaryOp, arith.CmpiOp, arith.SelectOp)
+    def _charge(self, op: Operation, counts: _Counts) -> bool:
+        """Tally a straight-line op's charges and record its site.
+
+        Straight-line ops are scalar, setup, launch, await, reset, foreign
+        and ``cost_instrs()`` ops, plus the terminators, which charge
+        nothing.  Returns False, tallying nothing, for any other op and for
+        ops on unknown accelerators: :meth:`op_cost` prices those.
+        """
+        if isinstance(op, _SCALAR_OPS):
+            feeding = op in self.analysis._feeding
+            counts.add(_CALC_STREAM if feeding else _COMPUTE_STREAM)
+            return True
+        if isinstance(op, (scf.YieldOp, func.ReturnOp)):
+            return True
+        if isinstance(op, accfg.SetupOp):
+            spec = self._spec(op.accelerator)
+            if spec is None:
+                return False
+            instrs = spec.setup_instrs_cached(tuple(op.field_names))
+            self._record_site(
+                op, "setup", op.accelerator, instrs, counts.add(instrs)
+            )
+            return True
+        if isinstance(op, accfg.LaunchOp):
+            spec = self._spec(op.accelerator)
+            if spec is None:
+                return False
+            instrs = spec.launch_instrs_cached()
+            field_names = tuple(name for name, _ in op.fields)
+            if field_names:
+                instrs = spec.launch_field_instrs_cached(field_names) + instrs
+            from .roofline_lint import static_launch_config
+
+            static_ops = spec.static_launch_ops(static_launch_config(op))
+            self._record_site(
+                op,
+                "launch",
+                op.accelerator,
+                instrs,
+                counts.add(instrs),
+                ops=static_ops,
+            )
+            counts.add_launch(op.accelerator, static_ops)
+            return True
+        if isinstance(op, accfg.AwaitOp):
+            spec = self._spec(op.accelerator)
+            if spec is None:
+                return False
+            instrs = spec.sync_instrs_cached()
+            self._record_site(
+                op, "await", op.accelerator, instrs, counts.add(instrs)
+            )
+            return True
+        if isinstance(op, accfg.ResetOp):
+            state_type = op.state.type
+            accelerator = (
+                state_type.accelerator
+                if isinstance(state_type, accfg.StateType)
+                else "?"
+            )
+            self._record_site(
+                op, "reset", accelerator, _CTRL_STREAM, counts.add(_CTRL_STREAM)
+            )
+            return True
+        # Extension point mirroring the interpreter's `interpret` hook: ops
+        # that charge custom instruction streams advertise them statically
+        # via `cost_instrs()`.
+        cost_hook = getattr(op, "cost_instrs", None)
+        if cost_hook is not None:
+            counts.add(cost_hook())
+            return True
+        if (
+            isinstance(op, UnregisteredOp)
+            and accfg.get_effects(op) is not None
+            and not op.results
         ):
-            return self._scalar_cost(op)
+            counts.add(_FOREIGN_STREAM)
+            return True
+        return False
+
+    def op_cost(self, op: Operation) -> CostVector:
+        counts = _Counts()
+        if self._charge(op, counts):
+            return counts.vector()
         if isinstance(op, scf.ForOp):
             trips = self.trip_range(op)
             self._loops.append(op)
@@ -774,9 +906,7 @@ class _FunctionWalker:
                 self._loops.pop()
                 self._trip_stack.pop()
             # Each iteration pays the back-edge's increment + compare&branch.
-            per_iteration = body + CostVector.for_instrs(
-                [CTRL_INSTR, CTRL_INSTR]
-            )
+            per_iteration = body + CostVector.for_instrs(_CTRL_PAIR_STREAM)
             return per_iteration.scale(trips)
         if isinstance(op, scf.IfOp):
             self._cond_depth += 1
@@ -790,85 +920,24 @@ class _FunctionWalker:
             finally:
                 self._cond_depth -= 1
             branch = then_cost.join(else_cost)
-            return CostVector.for_instrs([CTRL_INSTR]) + branch
-        if isinstance(op, (scf.YieldOp, func.ReturnOp)):
-            return CostVector.zero()
+            return CostVector.for_instrs(_CTRL_STREAM) + branch
         if isinstance(op, func.CallOp):
             return self._call_cost(op)
-        if isinstance(op, accfg.SetupOp):
-            spec = self._spec(op.accelerator)
-            if spec is None:
-                return CostVector.unmodeled_op(
-                    f"setup on unknown accelerator '{op.accelerator}'"
-                )
-            instrs = spec.setup_instrs_cached(tuple(op.field_names))
-            self._record_site(op, "setup", op.accelerator, instrs)
-            return CostVector.for_instrs(instrs)
-        if isinstance(op, accfg.LaunchOp):
-            return self._launch_cost(op)
-        if isinstance(op, accfg.AwaitOp):
-            spec = self._spec(op.accelerator)
-            if spec is None:
-                return CostVector.unmodeled_op(
-                    f"await on unknown accelerator '{op.accelerator}'"
-                )
-            instrs = spec.sync_instrs_cached()
-            self._record_site(op, "await", op.accelerator, instrs)
-            return CostVector.for_instrs(instrs)
-        if isinstance(op, accfg.ResetOp):
-            state_type = op.state.type
-            accelerator = (
-                state_type.accelerator
-                if isinstance(state_type, accfg.StateType)
-                else "?"
+        if isinstance(op, (accfg.SetupOp, accfg.LaunchOp, accfg.AwaitOp)):
+            verb = op.name.split(".")[-1]
+            return CostVector.unmodeled_op(
+                f"{verb} on unknown accelerator '{op.accelerator}'"
             )
-            self._record_site(op, "reset", accelerator, [CTRL_INSTR])
-            return CostVector.for_instrs([CTRL_INSTR])
-        # Extension point mirroring the interpreter's `interpret` hook: ops
-        # that charge custom instruction streams advertise them statically
-        # via `cost_instrs()`.
-        cost_hook = getattr(op, "cost_instrs", None)
-        if cost_hook is not None:
-            return CostVector.for_instrs(cost_hook())
         if getattr(op, "interpret", None) is not None:
             return CostVector.unmodeled_op(
                 f"'{op.name}' (interpret hook without cost_instrs)"
             )
         if isinstance(op, UnregisteredOp):
-            if accfg.get_effects(op) is not None and not op.results:
-                return CostVector.for_instrs([FOREIGN_INSTR])
             return CostVector.unmodeled_op(f"'{op.op_name}'")
         return CostVector.unmodeled_op(f"'{op.name}'")
 
-    def _launch_cost(self, op: accfg.LaunchOp) -> CostVector:
-        spec = self._spec(op.accelerator)
-        if spec is None:
-            return CostVector.unmodeled_op(
-                f"launch on unknown accelerator '{op.accelerator}'"
-            )
-        field_names = [name for name, _ in op.fields]
-        instrs: list[Instr] = []
-        if field_names:
-            instrs.extend(spec.launch_field_instrs_cached(tuple(field_names)))
-        instrs.extend(spec.launch_instrs_cached())
-        from .roofline_lint import static_launch_config
-
-        static_ops = spec.static_launch_ops(static_launch_config(op))
-        self._record_site(op, "launch", op.accelerator, instrs, ops=static_ops)
-        vector = CostVector.for_instrs(instrs)
-        vector.launches[op.accelerator] = (
-            vector.launches.get(op.accelerator, _ZERO_RANGE) + _ONE_RANGE
-        )
-        if static_ops is None:
-            vector.indeterminate_ops.add(op.accelerator)
-        else:
-            vector.ops[op.accelerator] = vector.ops.get(
-                op.accelerator, _ZERO_RANGE
-            ) + CostRange.exact(static_ops)
-        return vector
-
     def _call_cost(self, op: func.CallOp) -> CostVector:
-        overhead = CostVector.for_instrs([CTRL_INSTR, CTRL_INSTR])
+        overhead = CostVector.for_instrs(_CTRL_PAIR_STREAM)
         callee = self.analysis._functions.get(op.callee)
         if callee is None or callee.is_declaration:
             return overhead + CostVector.unmodeled_op(

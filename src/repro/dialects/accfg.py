@@ -517,3 +517,14 @@ class ResetOp(Operation):
 def _parse_reset(parser) -> ResetOp:
     state = parser.parse_value_use()
     return ResetOp.create(state)
+
+
+def config_sites(root: Operation) -> list[Operation]:
+    """Every ``accfg.setup`` and ``accfg.launch`` under ``root``, in
+    :meth:`~repro.ir.operation.Operation.walk` order.
+
+    An op's index in this list is its *site number*.  The trace compiler
+    stores the number in place of the op, and a fault-recovery plan built
+    for the same module resolves it back, so a compiled trace holds no IR.
+    """
+    return [op for op in root.walk_list() if isinstance(op, (SetupOp, LaunchOp))]

@@ -11,13 +11,15 @@ that exactly once, producing a :class:`CompiledModule`:
 * ``scf.for`` / ``scf.if`` become conditional jumps over the flat stream,
   with loop-carried values lowered to (parallel-safe) slot copies;
 * per-op host instructions (:class:`repro.isa.instructions.Instr`) are
-  materialized at compile time, including the calc-vs-compute categorization
-  of :func:`repro.interp.interpreter.config_feeding_ops`.
+  resolved at compile time to one shared record per mnemonic and category,
+  including the calc-vs-compute categorization of
+  :func:`repro.interp.interpreter.config_feeding_ops`.
 
-The compiled form is immutable and shareable: it holds no references into
-the source module's def-use graph, so it can outlive the module and be
-reused across executions — that is what the content-hash trace cache in
-:mod:`repro.engine.cache` does.
+The compiled form is immutable and shareable: it holds no IR at all (a
+setup or launch names its op by site number, see
+:func:`repro.dialects.accfg.config_sites`), so it can outlive the module
+and be reused across executions and processes — that is what the
+content-hash trace cache in :mod:`repro.engine.cache` does.
 
 Compilation assumes *verified* IR (the executor is proven bit-identical to
 the tree interpreter on verifier-clean programs; IR that would not verify
@@ -36,7 +38,7 @@ from ..interp.interpreter import config_feeding_ops
 from ..ir.attributes import IntegerType
 from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import SSAValue
-from ..isa.instructions import FOREIGN_INSTR, Instr, InstrCategory
+from ..isa.instructions import FOREIGN_INSTR, Instr, InstrCategory, scalar_instr
 
 
 class TraceCompileError(Exception):
@@ -78,30 +80,20 @@ class CompiledFunction:
 class CompiledModule:
     """Every defined function of one module, trace-compiled."""
 
-    #: The module whose ops the ``OP_SETUP``/``OP_LAUNCH`` tuples carry as
-    #: fault-recovery ``site`` references; None once they were stripped
-    #: (entries loaded from the persistent on-disk store).
-    source: ModuleOp | None = None
-
     def __init__(
         self,
         functions: dict[str, CompiledFunction],
         declarations: frozenset[str],
+        site_count: int,
         fingerprint: str | None = None,
-        source: ModuleOp | None = None,
     ) -> None:
         self.functions = functions
         self.declarations = declarations
+        #: how many setup/launch site numbers the ``OP_SETUP``/``OP_LAUNCH``
+        #: tuples draw from (the source module's ``config_sites``)
+        self.site_count = site_count
         #: content hash of the source module text (set by the cache layer)
         self.fingerprint = fingerprint
-        self.source = source
-
-    @property
-    def sites_stripped(self) -> bool:
-        """True when the ``site`` references were removed: fault-injected
-        runs must recompile instead of silently degrading minimal re-setup
-        planning to full re-setup."""
-        return self.source is None
 
 
 def _loc_suffix(op: Operation) -> str:
@@ -119,8 +111,11 @@ def _int_mask(type_) -> int | None:
 class _FunctionCompiler:
     """Lowers one function body; shared module-level context is passed in."""
 
-    def __init__(self, config_feeding: set[Operation]) -> None:
+    def __init__(
+        self, config_feeding: set[Operation], sites: dict[Operation, int]
+    ) -> None:
         self._config_feeding = config_feeding
+        self._sites = sites
         self._slots: dict[SSAValue, int] = {}
         self.code: list[tuple] = []
 
@@ -152,7 +147,7 @@ class _FunctionCompiler:
             if op in self._config_feeding
             else InstrCategory.COMPUTE
         )
-        return Instr(mnemonic, category)
+        return scalar_instr(mnemonic, category)
 
     # -- lowering --------------------------------------------------------
 
@@ -268,9 +263,9 @@ class _FunctionCompiler:
                     self.slot(op.out_state),
                     self.slot(in_state) if in_state is not None else None,
                     _loc_suffix(op),
-                    # The originating op: the fault-recovery runtime plans
+                    # The site number: the fault-recovery runtime plans
                     # minimal re-setup per site.  Unused on fault-free runs.
-                    op,
+                    self._sites[op],
                 )
             )
             return
@@ -284,7 +279,7 @@ class _FunctionCompiler:
                     self.slot(op.token),
                     self.slot(op.state),
                     _loc_suffix(op),
-                    op,
+                    self._sites[op],
                 )
             )
             return
@@ -386,6 +381,7 @@ class _FunctionCompiler:
 def compile_module(module: ModuleOp) -> CompiledModule:
     """Lower every defined function of ``module`` to a flat trace."""
     config_feeding = config_feeding_ops(module)
+    sites = {op: number for number, op in enumerate(accfg.config_sites(module))}
     functions: dict[str, CompiledFunction] = {}
     declarations: set[str] = set()
     for op in module.body_block.ops:
@@ -395,6 +391,6 @@ def compile_module(module: ModuleOp) -> CompiledModule:
             declarations.add(op.sym_name)
             continue
         functions[op.sym_name] = _FunctionCompiler(
-            config_feeding
+            config_feeding, sites
         ).compile_function(op)
-    return CompiledModule(functions, frozenset(declarations), source=module)
+    return CompiledModule(functions, frozenset(declarations), len(sites))

@@ -65,6 +65,15 @@ class TraceExecutor:
     """
 
     def __init__(self, compiled: CompiledModule, sim: CoSimulator) -> None:
+        reliance = sim.reliance
+        if reliance is not None and len(reliance.sites) != compiled.site_count:
+            from ..faults.recovery import ReliancePlanMismatch
+
+            raise ReliancePlanMismatch(
+                f"the reliance plan knows {len(reliance.sites)} setup/launch "
+                f"sites but the compiled trace has {compiled.site_count}: "
+                "the plan was built for another module"
+            )
         self.compiled = compiled
         self.sim = sim
         self.max_call_depth = 256
@@ -419,8 +428,18 @@ def run_module_traced(
     method to control caching.  When the module contains ops the trace
     compiler does not support and ``fallback`` is true, execution falls back
     to the tree interpreter (identical semantics, just slower).
+
+    Any cached entry serves fault-injected runs too: its site numbers are
+    resolved by ``sim.reliance``, which must therefore be built for
+    ``module`` (:class:`~repro.faults.ReliancePlanMismatch` otherwise).
     """
     sim = sim or CoSimulator()
+    if sim.reliance is not None and sim.reliance.module is not module:
+        from ..faults.recovery import ReliancePlanMismatch
+
+        raise ReliancePlanMismatch(
+            "the simulator's reliance plan was built for another module"
+        )
     if cache is None:
         from .cache import TRACE_CACHE
 
@@ -437,17 +456,5 @@ def run_module_traced(
         from ..interp import run_module
 
         return run_module(module, sim, function, args)
-    if sim.faults is not None and compiled.source is not module:
-        # The recovery runtime plans minimal re-setup per ``site`` op with
-        # the caller's ReliancePlan, which knows only this module's ops.
-        # Entries loaded from the persistent store carry no sites, and an
-        # entry compiled from a structurally equal module carries that
-        # module's; either would silently degrade minimal re-setup to full.
-        # Recompile fresh (and re-cache, so a campaign that reruns one
-        # module recompiles once).
-        key = compiled.fingerprint
-        compiled = compile_module(module)
-        if key is not None and cache is not False and hasattr(cache, "put"):
-            cache.put(key, compiled)
     results = TraceExecutor(compiled, sim).run(function, args)
     return results, sim

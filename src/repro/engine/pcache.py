@@ -32,14 +32,9 @@ Design rules, each of which a robustness test pins down:
   no more disk touches, every load a counted miss — and logs the downgrade
   once.  The serving layer surfaces the flag in its stats.
 
-Compiled traces need one transformation before they can live on disk: the
-``OP_SETUP``/``OP_LAUNCH`` tuples carry the originating IR op as a ``site``
-for the fault-recovery runtime's minimal re-setup planning.  Those ops are
-process-local object graphs — meaningless (and unpicklable) across
-processes — so :func:`strip_sites` nulls them along with the module's
-``source``, which marks it ``sites_stripped``; fault-injected runs recompile
-fresh rather than let minimal re-setup silently degrade to full (see
-``run_module_traced``).
+A compiled trace goes to disk as it is: it holds no IR (setups and launches
+carry site numbers, see :func:`repro.dialects.accfg.config_sites`), so an
+entry loaded here serves fault-injected runs exactly as a fresh compile does.
 """
 
 from __future__ import annotations
@@ -52,16 +47,12 @@ import threading
 import time
 
 from ..ioutil import atomic_write_bytes
-from .compiler import (
-    OP_LAUNCH,
-    OP_SETUP,
-    CompiledFunction,
-    CompiledModule,
-)
+from .compiler import CompiledModule
 
 #: Bump on any change to the entry layout or to the compiled-trace tuple
 #: format; old entries then read as misses and are lazily replaced.
-SCHEMA = "repro-cache/1"
+#: Version 2: setup/launch tuples carry site numbers, not ``None``.
+SCHEMA = "repro-cache/2"
 
 #: Default size bound of one store directory (plenty for every fuzz/CI
 #: workload; a full 200-iteration three-backend fuzz run compiles ~2k
@@ -94,34 +85,6 @@ def _lru_tick() -> int:
     with _lru_clock_lock:
         _lru_clock = max(_lru_clock + 1, time.time_ns())
         return _lru_clock
-
-
-def strip_sites(compiled: CompiledModule) -> CompiledModule:
-    """A copy of ``compiled`` with fault-recovery site ops nulled out.
-
-    The stripped form is what goes to disk: identical on every fault-free
-    path (sites are only read when a fault injector is attached), marked
-    ``sites_stripped`` so faulted runs know to recompile.
-    """
-    functions = {}
-    for name, fn in compiled.functions.items():
-        code = []
-        for ins in fn.code:
-            opcode = ins[0]
-            if opcode == OP_SETUP or opcode == OP_LAUNCH:
-                code.append(ins[:7] + (None,))
-            else:
-                code.append(ins)
-        functions[name] = CompiledFunction(
-            name=fn.name,
-            n_args=fn.n_args,
-            n_slots=fn.n_slots,
-            arg_slots=fn.arg_slots,
-            code=tuple(code),
-        )
-    return CompiledModule(
-        functions, compiled.declarations, fingerprint=compiled.fingerprint
-    )
 
 
 class PersistentStore:
@@ -281,12 +244,11 @@ class PersistentStore:
         payload = self.load("trace", fingerprint)
         if not isinstance(payload, CompiledModule):
             return None
-        payload.source = None
         payload.fingerprint = fingerprint
         return payload
 
     def save_trace(self, fingerprint: str, compiled: CompiledModule) -> None:
-        self.save("trace", fingerprint, strip_sites(compiled))
+        self.save("trace", fingerprint, compiled)
 
     # -- eviction ---------------------------------------------------------
 

@@ -20,7 +20,12 @@ See ``docs/ROBUSTNESS.md`` for the fault models and guarantees.
 """
 
 from .model import DrawStreams, FaultEvent, FaultInjector, FaultKind, FaultRates
-from .recovery import RecoveryPolicy, RecoveryStats, ReliancePlan
+from .recovery import (
+    RecoveryPolicy,
+    RecoveryStats,
+    ReliancePlan,
+    ReliancePlanMismatch,
+)
 
 __all__ = [
     "DrawStreams",
@@ -31,4 +36,5 @@ __all__ = [
     "RecoveryPolicy",
     "RecoveryStats",
     "ReliancePlan",
+    "ReliancePlanMismatch",
 ]

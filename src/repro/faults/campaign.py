@@ -231,8 +231,6 @@ def _check_one(
     # -- 3. same fault seed under the compiled trace engine ----------------
     trace_injector = FaultInjector(pseed, rates)
     try:
-        # Compiled directly (not through the structural-key cache): baked-in
-        # op sites must belong to *this* module so the ReliancePlan applies.
         compiled = compile_module(module)
     except TraceCompileError as error:
         return finding("trace-vs-tree", f"trace compile rejected: {error}")

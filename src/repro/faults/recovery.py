@@ -18,7 +18,9 @@ by:
   set, aware that every SSA state chain shares one physical register file)
   with :class:`~repro.analysis.dataflow.KnownFieldsAnalysis` (the dedup
   pass's own retention reasoning, classifying which of the restored fields
-  were exactly the ones dedup assumed retained).
+  were exactly the ones dedup assumed retained).  A site is the op itself
+  (tree interpreter) or its site number (compiled traces); the plan resolves
+  numbers against its own module, which must be the module being run.
 """
 
 from __future__ import annotations
@@ -101,6 +103,14 @@ class RecoveryStats:
         }
 
 
+class ReliancePlanMismatch(ValueError):
+    """A :class:`ReliancePlan` was handed to a run of another module.
+
+    Its site numbers would name that other module's ops, so minimal
+    re-setup could restore too few fields: such runs are refused.
+    """
+
+
 class ReliancePlan:
     """Static per-site restore sets for minimal re-setup.
 
@@ -123,6 +133,7 @@ class ReliancePlan:
 
     def __init__(self, module: Operation) -> None:
         self.module = module
+        self._sites: list[Operation] | None = None
         self._liveness: dict[str, RegisterLivenessAnalysis] = {}
         self._known: dict[str, KnownFieldsAnalysis] = {}
         self._known_cache: dict[Operation, frozenset[str]] = {}
@@ -137,8 +148,19 @@ class ReliancePlan:
             self._liveness[accelerator] = analysis
         return analysis.live_in
 
-    def restore_set(self, site: Operation) -> FieldSet:
+    @property
+    def sites(self) -> list[Operation]:
+        """The module's setup/launch ops, indexed by site number."""
+        if self._sites is None:
+            self._sites = accfg.config_sites(self.module)
+        return self._sites
+
+    def _op(self, site: "Operation | int") -> Operation:
+        return self.sites[site] if isinstance(site, int) else site
+
+    def restore_set(self, site: "Operation | int") -> FieldSet:
         """Fields (as a possibly co-finite set) to restore at ``site``."""
+        site = self._op(site)
         if isinstance(site, (accfg.SetupOp, accfg.LaunchOp)):
             live = self._live_in(site.accelerator).get(site)
             if live is not None:
@@ -146,8 +168,9 @@ class ReliancePlan:
         # Unknown site: restore conservatively (everything shadowed).
         return FieldSet.top()
 
-    def known_retained(self, site: Operation) -> frozenset[str]:
+    def known_retained(self, site: "Operation | int") -> frozenset[str]:
         """Field names KnownFieldsAnalysis pins down entering ``site``."""
+        site = self._op(site)
         cached = self._known_cache.get(site)
         if cached is not None:
             return cached

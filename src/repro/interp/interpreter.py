@@ -61,10 +61,10 @@ def config_feeding_ops(module: ModuleOp) -> set[Operation]:
     """Ops whose results flow (transitively) into setup/launch fields."""
     feeding: set[Operation] = set()
     worklist: list[SSAValue] = []
-    for op in module.walk():
+    for op in accfg.config_sites(module):
         if isinstance(op, accfg.SetupOp):
             worklist.extend(op.field_values)
-        elif isinstance(op, accfg.LaunchOp):
+        else:
             worklist.extend(value for _, value in op.fields)
     while worklist:
         value = worklist.pop()

@@ -78,6 +78,20 @@ _CATEGORIES = tuple(InstrCategory)
 CTRL_INSTR = Instr("ctrl", InstrCategory.CONTROL)
 FOREIGN_INSTR = Instr("foreign", InstrCategory.COMPUTE)
 
+_SCALAR_INSTRS: dict[tuple[str, InstrCategory], Instr] = {}
+
+
+def scalar_instr(mnemonic: str, category: InstrCategory) -> Instr:
+    """The one shared record a scalar op ``mnemonic`` charges as ``category``.
+
+    Mnemonics are op names, so the table stays as small as the dialects.
+    """
+    key = (mnemonic, category)
+    instr = _SCALAR_INSTRS.get(key)
+    if instr is None:
+        instr = _SCALAR_INSTRS[key] = Instr(mnemonic, category)
+    return instr
+
 
 @dataclass(frozen=True)
 class HostCostModel:

@@ -162,13 +162,14 @@ class CoSimulator:
         self,
         accelerator: str,
         fields: dict[str, int],
-        site: "Operation | None" = None,
+        site: "Operation | int | None" = None,
     ) -> None:
         """Perform one ``accfg.setup``: stall if required, then write.
 
-        ``site`` is the originating IR op when an engine can provide it;
-        the recovery runtime uses it to plan minimal re-setup after state
-        loss.  It is ignored on the fault-free fast path.
+        ``site`` names the originating op: the op itself or its site number
+        (:func:`repro.dialects.accfg.config_sites`).  The recovery runtime
+        hands it to the :class:`ReliancePlan` to plan minimal re-setup after
+        state loss.  It is ignored on the fault-free fast path.
         """
         device = self.device(accelerator)
         if self.faults is not None:
@@ -184,7 +185,7 @@ class CoSimulator:
         self,
         accelerator: str,
         launch_fields: dict[str, int] | None = None,
-        site: "Operation | None" = None,
+        site: "Operation | int | None" = None,
     ) -> LaunchToken:
         """Perform one ``accfg.launch``; returns the completion token."""
         device = self.device(accelerator)
@@ -252,13 +253,13 @@ class CoSimulator:
         self,
         device: AcceleratorDevice,
         fields: dict[str, int],
-        site: "Operation | None",
+        site: "Operation | int | None",
     ) -> None:
         self._check_state_loss(device, site)
         self._verified_write(device, fields, device.setup_label)
 
     def _check_state_loss(
-        self, device: AcceleratorDevice, site: "Operation | None"
+        self, device: AcceleratorDevice, site: "Operation | int | None"
     ) -> None:
         """Draw, detect, and (when enabled) repair spontaneous state loss.
 
@@ -286,7 +287,9 @@ class CoSimulator:
                 )
             self._resetup(device, site)
 
-    def _resetup(self, device: AcceleratorDevice, site: "Operation | None") -> None:
+    def _resetup(
+        self, device: AcceleratorDevice, site: "Operation | int | None"
+    ) -> None:
         """Re-issue lost configuration after a detected power cycle."""
         shadow = self._shadow.get(device.name, {})
         strategy = self.recovery.resetup

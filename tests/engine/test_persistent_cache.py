@@ -3,9 +3,9 @@
 Every design rule from the :mod:`repro.engine.pcache` docstring is pinned
 here: corrupted/truncated/version-skewed/foreign entries are misses (never
 crashes, never stale data), concurrent writers cannot torn-write, the
-directory respects its size bound, loaded traces are marked
-``sites_stripped`` and fault-injected runs recompile around them, and the
-generator's memory-image cache persists across (simulated) processes.
+directory respects its size bound, a loaded trace equals a fresh compile
+and serves fault-injected runs as it is, and the generator's memory-image
+cache persists across (simulated) processes.
 """
 
 import multiprocessing
@@ -19,7 +19,9 @@ from repro.engine import (
     module_fingerprint,
     run_module_traced,
 )
-from repro.engine.pcache import SCHEMA, PersistentStore, strip_sites
+from repro.engine import cache as engine_cache
+from repro.engine import executor as engine_executor
+from repro.engine.pcache import SCHEMA, PersistentStore
 from repro.faults import FaultInjector, FaultRates
 from repro.ir import parse_module
 from repro.sim import CoSimulator
@@ -53,7 +55,7 @@ class TestRoundTrip:
         saved_trace(PersistentStore(str(tmp_path)), key)
         loaded = PersistentStore(str(tmp_path)).load_trace(key)
         assert loaded is not None
-        assert loaded.sites_stripped
+        assert loaded.site_count == 2  # one setup, one launch
         assert loaded.fingerprint == key
         sim = CoSimulator(functional=False)
         from repro.engine import TraceExecutor
@@ -64,9 +66,10 @@ class TestRoundTrip:
         store = PersistentStore(str(tmp_path))
         compiled = saved_trace(store, "k")
         loaded = store.load_trace("k")
-        stripped = strip_sites(compiled)
         assert loaded.declarations == compiled.declarations
-        for name, fn in stripped.functions.items():
+        assert loaded.site_count == compiled.site_count
+        assert loaded.functions.keys() == compiled.functions.keys()
+        for name, fn in compiled.functions.items():
             assert loaded.functions[name].code == fn.code
 
     def test_missing_entry_is_a_clean_miss(self, tmp_path):
@@ -108,6 +111,22 @@ class TestCorruptionTolerance:
         assert store.load("trace", "k") is None
         assert store.rejected == 1
         assert not os.path.exists(entry_path(store, "trace", "k"))
+
+    def test_version_1_trace_is_schema_skew(self, tmp_path):
+        # Version 1 stored setups and launches without their site numbers;
+        # such an entry must never reach a faulted run.
+        store = PersistentStore(str(tmp_path))
+        entry = {
+            "schema": "repro-cache/1",
+            "kind": "trace",
+            "key": "k",
+            "payload": compile_module(parse_module(PROGRAM)),
+        }
+        with open(entry_path(store, "trace", "k"), "wb") as handle:
+            pickle.dump(entry, handle)
+        assert SCHEMA != "repro-cache/1"
+        assert store.load_trace("k") is None
+        assert (store.hits, store.rejected) == (0, 1)
 
     def test_foreign_kind_or_key_is_a_miss(self, tmp_path):
         store = PersistentStore(str(tmp_path))
@@ -255,7 +274,8 @@ class TestCacheIntegration:
         # process: the compile is skipped, the store reports the hit.
         second = TraceCache(store=PersistentStore(str(tmp_path)))
         compiled = second.get_or_compile(parse_module(PROGRAM))
-        assert compiled.sites_stripped
+        fresh = compile_module(parse_module(PROGRAM))
+        assert compiled.functions["main"].code == fresh.functions["main"].code
         assert (second.store.hits, second.store.misses) == (1, 0)
         assert (second.hits, second.misses) == (0, 1)
 
@@ -270,19 +290,25 @@ class TestCacheIntegration:
         second.get_or_compile(clone, key=structural_key(clone))
         assert second.store.hits == 1
 
-    def test_faulted_run_recompiles_stripped_entry(self, tmp_path):
+    def test_faulted_run_uses_the_disk_entry(self, tmp_path, monkeypatch):
+        TraceCache(store=PersistentStore(str(tmp_path))).get_or_compile(
+            parse_module(PROGRAM)
+        )
         module = parse_module(PROGRAM)
-        key = module_fingerprint(module)
         cache = TraceCache(store=PersistentStore(str(tmp_path)))
-        cache.put(key, strip_sites(compile_module(module)))
+
+        def refuse(module):
+            raise AssertionError("a disk entry must not be recompiled")
+
+        monkeypatch.setattr(engine_cache, "compile_module", refuse)
+        monkeypatch.setattr(engine_executor, "compile_module", refuse)
         sim = CoSimulator(
             functional=False,
             faults=FaultInjector(3, FaultRates.uniform(0.0)),
         )
-        run_module_traced(module, sim, args=[1], cache=cache)
-        # The recompiled (site-carrying) trace replaced the stripped entry.
-        assert cache.get(key) is not None
-        assert not cache.get(key).sites_stripped
+        assert run_module_traced(module, sim, args=[1], cache=cache)[0] == [4]
+        assert cache.store.hits == 1
+        assert cache.get(module_fingerprint(module)) is not None
 
 
 class TestImageCachePersistence:

@@ -1,7 +1,17 @@
-"""Tests for the compiled-trace cache: keying, invalidation, eviction."""
+"""Tests for the compiled-trace cache: keying, invalidation, eviction, and
+entries that hold no IR."""
+
+import gc
+import random
+import weakref
 
 from repro.engine import TraceCache, compile_module, module_fingerprint
 from repro.ir import IntegerAttr, i64, parse_module, structural_key
+from repro.ir.block import Block, Region
+from repro.ir.operation import Operation
+from repro.ir.ssa import SSAValue
+from repro.passes import PIPELINES, pipeline_by_name
+from repro.testing.generator import PROFILES, build_spec, generate_spec
 
 PROGRAM = """
 func.func @main(%x : i64) -> (i64) {
@@ -95,3 +105,63 @@ class TestEviction:
         cache.put("c", compile_module(parse()))
         assert cache.get("a") is not None
         assert cache.get("b") is None
+
+
+def reachable_ir(root) -> list:
+    """The IR objects reachable from ``root`` through containers and
+    objects of ``repro`` classes (compiled modules, functions, records)."""
+    found = []
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Operation, Block, Region, SSAValue)):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def generated_modules():
+    """Optimized fuzz programs: every backend under every pipeline."""
+    for backend in sorted(PROFILES):
+        for seed in range(3):
+            spec = generate_spec(random.Random(seed), backend)
+            for pipeline in sorted(PIPELINES):
+                built = build_spec(spec, memory_seed=seed)
+                pipeline_by_name(pipeline).run(built.module)
+                yield built.module
+
+
+class TestHoldsNoIR:
+    def test_entries_reach_no_ir(self):
+        cache = TraceCache(maxsize=1024)
+        for index, module in enumerate(generated_modules()):
+            key = structural_key(module) if index % 2 else None
+            cache.get_or_compile(module, key=key)
+        assert len(cache) > 10
+        assert reachable_ir(cache._entries) == []
+
+    def test_checker_sees_ir(self):
+        # The walk above must be able to find IR where there is some.
+        module = parse()
+        assert reachable_ir({"entry": (1, [module])}) == [module]
+
+    def test_dropped_module_is_freed_while_its_entry_stays(self):
+        cache = TraceCache()
+        module = next(generated_modules())
+        key = structural_key(module)
+        compiled = cache.get_or_compile(module, key=key)
+        alive = weakref.ref(module)
+        del module
+        gc.collect()
+        assert alive() is None
+        assert cache.get(key) is compiled
