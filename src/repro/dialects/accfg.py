@@ -28,7 +28,7 @@ from ..ir.attributes import (
     TypeAttribute,
 )
 from ..ir.operation import Operation, VerifyError
-from ..ir.printer import Printer
+from ..ir.printer import Printer, quote_string
 from ..ir.registry import (
     register_attr_parser,
     register_custom_parser,
@@ -47,7 +47,7 @@ class StateType(TypeAttribute):
     accelerator: str
 
     def __str__(self) -> str:
-        return f'!accfg.state<"{self.accelerator}">'
+        return f"!accfg.state<{quote_string(self.accelerator)}>"
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class TokenType(TypeAttribute):
     accelerator: str
 
     def __str__(self) -> str:
-        return f'!accfg.token<"{self.accelerator}">'
+        return f"!accfg.token<{quote_string(self.accelerator)}>"
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,9 @@ def _parse_accfg_type(parser) -> TypeAttribute:
     accelerator = parser.parse_string()
     parser.expect(">")
     if kind == "state":
-        return StateType(accelerator)
+        return state_type(accelerator)
     if kind == "token":
-        return TokenType(accelerator)
+        return token_type(accelerator)
     raise parser.error(f"unknown accfg type '{kind}'")
 
 
@@ -189,7 +189,7 @@ def _print_field_list(printer: Printer, fields) -> None:
     for i, (name, value) in enumerate(fields):
         if i:
             printer.emit(", ")
-        printer.emit(f'"{name}" = ')
+        printer.emit(quote_string(name) + " = ")
         printer.print_value(value)
         printer.emit(f" : {value.type}")
     printer.emit(")")
@@ -335,7 +335,7 @@ class SetupOp(Operation):
                 seen.add(field_name)
 
     def print_custom(self, printer: Printer) -> None:
-        printer.emit(f'accfg.setup on "{self.accelerator}" ')
+        printer.emit(f"accfg.setup on {quote_string(self.accelerator)} ")
         if self.in_state is not None:
             printer.emit("from ")
             printer.print_value(self.in_state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..ir.attributes import IntegerAttr, StringAttr
 from ..ir.operation import Operation, VerifyError
-from ..ir.printer import Printer
+from ..ir.printer import Printer, quote_string
 from ..ir.registry import register_custom_parser, register_op
 from ..ir.ssa import SSAValue
 
@@ -105,7 +105,7 @@ class MatmulOp(Operation):
             f") dims({self.dim('m')} x {self.dim('k')} x {self.dim('n')})"
         )
         if self.target is not None:
-            printer.emit(f' target("{self.target}")')
+            printer.emit(f" target({quote_string(self.target)})")
         tile_m, tile_n = self.tile("tile_m"), self.tile("tile_n")
         if tile_m is not None or tile_n is not None:
             printer.emit(f" tile({tile_m or 0} x {tile_n or 0})")
@@ -203,7 +203,7 @@ class ElementwiseOp(Operation):
             raise VerifyError("linalg.elementwise needs a valid 'kind'")
 
     def print_custom(self, printer: Printer) -> None:
-        printer.emit(f'linalg.elementwise "{self.kind}" ins(')
+        printer.emit(f"linalg.elementwise {quote_string(self.kind)} ins(")
         printer.print_value(self.x)
         printer.emit(", ")
         printer.print_value(self.y)

@@ -107,7 +107,9 @@ class StringAttr(Attribute):
     value: str
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        from .printer import quote_string
+
+        return quote_string(self.value)
 
 
 @dataclass(frozen=True)

@@ -9,24 +9,30 @@ support (unknown names become :class:`UnregisteredOp`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .attributes import (
     ArrayAttr,
     Attribute,
     BoolAttr,
     FunctionType,
-    IndexType,
     IntegerAttr,
     IntegerType,
     StringAttr,
     SymbolRefAttr,
     TypeAttribute,
     UnitAttr,
+    i1,
+    i8,
+    i16,
+    i32,
+    i64,
+    index,
 )
 from .block import Block, Region
 from .location import SourceLoc
 from .operation import Operation, UnregisteredOp
+from .printer import IDENTIFIER
 from .registry import (
     CUSTOM_PARSERS,
     OP_REGISTRY,
@@ -40,18 +46,22 @@ class ParseError(Exception):
     """Raised on malformed IR text, with line/column context."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     column: int
 
 
+# Blanks are folded into the front of each match, and every position matches
+# one alternative (``END`` at the end of the text, ``BAD`` at a character no
+# token accepts), so ``finditer`` never searches ahead: one match is one
+# token, newline, comment, error or the end, and the scan stays linear.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<WS>[ \t\r]+)
-  | (?P<COMMENT>//[^\n]*)
+    [ \t\r]*
+    (?:
+    (?P<COMMENT>//[^\n]*)
   | (?P<NL>\n)
   | (?P<ARROW>->)
   | (?P<STRING>"(?:[^"\\]|\\.)*")
@@ -61,32 +71,65 @@ _TOKEN_RE = re.compile(
   | (?P<BANGID>![A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
   | (?P<HASHID>\#[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
   | (?P<INT>-?\d+)
-  | (?P<ID>[A-Za-z_][A-Za-z0-9_.$]*)
+  | (?P<ID>"""
+    + IDENTIFIER
+    + r""")
   | (?P<PUNCT>[(){}\[\]<>=,:])
+  | (?P<END>\Z)
+  | (?P<BAD>.)
+    )
     """,
     re.VERBOSE,
 )
+#: match kinds that are not tokens
+_NOT_TOKENS = frozenset(("NL", "COMMENT", "END", "BAD"))
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split ``text`` into tokens, ending with an ``EOF`` token.
+
+    Lines advance only at newline tokens, so a string literal spanning a raw
+    newline leaves later tokens on its starting line.
+    """
+    new_token = tuple.__new__
     tokens: list[Token] = []
+    append = tokens.append
     line, line_start = 1, 0
     pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            column = pos - line_start + 1
-            raise ParseError(f"line {line}:{column}: unexpected character {text[pos]!r}")
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind == "NL":
-            line += 1
-            line_start = match.end()
-        elif kind not in ("WS", "COMMENT"):
-            tokens.append(Token(kind, value, line, pos - line_start + 1))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match[kind]
         pos = match.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+        if kind not in _NOT_TOKENS:
+            column = pos - len(value) - line_start + 1
+            append(new_token(Token, (kind, value, line, column)))
+        elif kind == "NL":
+            line += 1
+            line_start = pos
+        elif kind == "END":
+            break
+        elif kind == "BAD":
+            column = pos - line_start  # one character, ending at ``pos``
+            raise ParseError(f"line {line}:{column}: unexpected character {value!r}")
+    append(new_token(Token, ("EOF", "", line, pos - line_start + 1)))
     return tokens
+
+
+_ESCAPE_RE = re.compile(r"\\(.)")
+_ESCAPES = {"n": "\n", '"': '"', "\\": "\\"}
+
+
+def _unescape(match: re.Match) -> str:
+    """``\\n``, ``\\"`` and ``\\\\``; any other escape stays as written."""
+    return _ESCAPES.get(match[1], match[0])
+
+
+_INTEGER_TYPE_RE = re.compile(r"i(\d+)")
+#: the predeclared scalar types by spelling; types compare by value, so
+#: handing out one shared instance per spelling is invisible
+_SCALAR_TYPES: dict[str, TypeAttribute] = {
+    str(t): t for t in (index, i1, i8, i16, i32, i64)
+}
 
 
 class Parser:
@@ -100,35 +143,42 @@ class Parser:
     def __init__(self, text: str, filename: str | None = None) -> None:
         self._tokens = tokenize(text)
         self._pos = 0
+        #: the token at the cursor; kept in step with ``_pos``
+        self.current: Token = self._tokens[0]
         self._scopes: list[dict[str, SSAValue]] = [{}]
         self._filename = filename
 
     # -- token access --------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
     def advance(self) -> Token:
         token = self.current
         if token.kind != "EOF":
             self._pos += 1
+            self.current = self._tokens[self._pos]
         return token
 
-    def error(self, message: str) -> ParseError:
-        t = self.current
+    def error(self, message: str, token: Token | None = None) -> ParseError:
+        """A :class:`ParseError` located at ``token`` (default: the cursor)."""
+        t = self.current if token is None else token
         return ParseError(f"line {t.line}:{t.column}: {message} (found {t.text!r})")
 
+    # ``accept`` and ``expect`` advance inline: a matched text is never the
+    # empty text of ``EOF``, so a next token always exists.
+
     def accept(self, text: str) -> bool:
-        if self.current.text == text:
-            self.advance()
-            return True
-        return False
+        if self.current.text != text:
+            return False
+        self._pos += 1
+        self.current = self._tokens[self._pos]
+        return True
 
     def expect(self, text: str) -> Token:
-        if self.current.text != text:
+        token = self.current
+        if token.text != text:
             raise self.error(f"expected {text!r}")
-        return self.advance()
+        self._pos += 1
+        self.current = self._tokens[self._pos]
+        return token
 
     def expect_kind(self, kind: str) -> Token:
         if self.current.kind != kind:
@@ -147,25 +197,28 @@ class Parser:
         value.name_hint = name
         self._scopes[-1][name] = value
 
-    def lookup_value(self, name: str) -> SSAValue:
+    def lookup_value(self, name: str, token: Token | None = None) -> SSAValue:
+        """The value ``name`` is bound to; an error at ``token`` if none."""
         for scope in reversed(self._scopes):
-            if name in scope:
-                return scope[name]
-        raise self.error(f"use of undefined value %{name}")
+            value = scope.get(name)
+            if value is not None:
+                return value
+        raise self.error(f"use of undefined value %{name}", token)
 
     # -- common fragments --------------------------------------------------
 
     def parse_string(self) -> str:
-        token = self.expect_kind("STRING")
-        body = token.text[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\").replace("\\n", "\n")
+        body = self.expect_kind("STRING").text[1:-1]
+        if "\\" in body:
+            body = _ESCAPE_RE.sub(_unescape, body)
+        return body
 
     def parse_int(self) -> int:
         return int(self.expect_kind("INT").text)
 
     def parse_value_use(self) -> SSAValue:
         token = self.expect_kind("PERCENT")
-        return self.lookup_value(token.text[1:])
+        return self.lookup_value(token.text[1:], token)
 
     def parse_value_use_list(self, terminator: str) -> list[SSAValue]:
         values: list[SSAValue] = []
@@ -181,14 +234,14 @@ class Parser:
     def parse_type(self) -> TypeAttribute:
         token = self.current
         if token.kind == "ID":
-            if token.text == "index":
-                self.advance()
-                return IndexType()
-            match = re.fullmatch(r"i(\d+)", token.text)
-            if match:
-                self.advance()
-                return IntegerType(int(match.group(1)))
-            raise self.error(f"unknown type '{token.text}'")
+            type_attr = _SCALAR_TYPES.get(token.text)
+            if type_attr is None:
+                match = _INTEGER_TYPE_RE.fullmatch(token.text)
+                if match is None:
+                    raise self.error(f"unknown type '{token.text}'")
+                type_attr = IntegerType(int(match.group(1)))
+            self.advance()
+            return type_attr
         if token.kind == "BANGID":
             dialect = token.text[1:].split(".", 1)[0]
             parser_fn = TYPE_PARSERS.get(dialect)
@@ -335,7 +388,8 @@ class Parser:
             if len(result_names) != len(op.results):
                 raise self.error(
                     f"op '{op.name}' produces {len(op.results)} results, "
-                    f"but {len(result_names)} names given"
+                    f"but {len(result_names)} names given",
+                    start,
                 )
             for name, result in zip(result_names, op.results):
                 self.define_value(name, result)

@@ -29,6 +29,21 @@ from .operation import Operation, UnregisteredOp
 from .ssa import SSAValue
 
 _VALID_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+#: an identifier: the parser's ``ID`` token, and the attribute keys printed bare
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_.$]*"
+_BARE_KEY = re.compile(IDENTIFIER)
+
+
+def quote_string(text: str) -> str:
+    """``text`` as a string literal the parser reads back unchanged."""
+    if "\\" in text or '"' in text or "\n" in text:
+        text = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return f'"{text}"'
+
+
+def _format_key(key: str) -> str:
+    """An attribute key: bare when it is an identifier, else quoted."""
+    return key if _BARE_KEY.fullmatch(key) else quote_string(key)
 
 
 class Printer:
@@ -89,9 +104,9 @@ class Printer:
         entries = []
         for key, value in attrs.items():
             if isinstance(value, UnitAttr):
-                entries.append(key)
+                entries.append(_format_key(key))
             else:
-                entries.append(f"{key} = {format_attribute(value)}")
+                entries.append(f"{_format_key(key)} = {format_attribute(value)}")
         self.emit(" {" + ", ".join(entries) + "}")
 
     # -- operations ------------------------------------------------------
@@ -114,7 +129,7 @@ class Printer:
 
     def _print_generic(self, op: Operation) -> None:
         name = op.op_name if isinstance(op, UnregisteredOp) else op.name
-        self.emit(f'"{name}"(')
+        self.emit(quote_string(name) + "(")
         self.print_value_list(op.operands)
         self.emit(")")
         self.print_attr_dict(op.attributes)
@@ -158,7 +173,7 @@ def format_attribute(attr: Attribute) -> str:
     if isinstance(attr, BoolAttr):
         return "true" if attr.value else "false"
     if isinstance(attr, StringAttr):
-        return f'"{attr.value}"'
+        return quote_string(attr.value)
     if isinstance(attr, SymbolRefAttr):
         return f"@{attr.name}"
     if isinstance(attr, ArrayAttr):

@@ -15,7 +15,9 @@ intra-program to inter-request, in three tiers:
   earlier is served from a bounded LRU of outcomes, and a re-request that
   only differs in parameters reuses the parsed-and-optimized module object,
   which keeps the shared :class:`~repro.analysis.AnalysisManager` entries
-  (keyed on op identity) alive across requests.
+  (keyed on op identity) alive across requests.  A request under a
+  pipeline clones the text's verified, unoptimized module when a request
+  without a pipeline left it cached, instead of parsing the text again.
 * **Shared engine caches** — all tenants share one
   :class:`~repro.engine.TraceCache` (process-global ``TRACE_CACHE`` by
   default, with whatever persistent tier is attached to it), so a compile
@@ -240,7 +242,8 @@ class CompileService:
         self._in_flight: dict[tuple, _Flight] = {}
         #: compute key -> (ok, payload); completed outcomes, LRU-bounded
         self._outcomes: OrderedDict[tuple, tuple[bool, Any]] = OrderedDict()
-        #: (module hash, pipeline) -> parsed-and-optimized module object
+        #: (module hash, pipeline) -> parsed-and-optimized module object;
+        #: pipeline "" holds the verified text module, which others clone
         self._modules: OrderedDict[tuple, Any] = OrderedDict()
         self._pending: Counter[str] = Counter()
         self._pending_total = 0
@@ -254,6 +257,7 @@ class CompileService:
         self.coalesced = 0
         self.outcome_hits = 0
         self.module_hits = 0
+        self.module_parses = 0
         self.admission_rejected = 0
         self.errors = 0
         self.deadline_expired = 0
@@ -569,7 +573,14 @@ class CompileService:
     # -- computation proper -------------------------------------------------
 
     def _parsed_module(self, op: str, request: dict[str, Any]):
-        """Parse + verify + optimize, reusing the module cache when allowed."""
+        """Parse + verify + optimize, reusing the module cache when allowed.
+
+        A miss under a pipeline clones the text's unoptimized module, when
+        a request without a pipeline left it cached, instead of parsing the
+        text again.  A fresh parse is never cloned on speculation: traffic
+        that sends each text under one pipeline would pay for the clone and
+        its cache entry and never use them.
+        """
         text = request["module"]
         pipeline = self._pipeline_name(op, request)
         if pipeline and pipeline not in PIPELINES:
@@ -578,15 +589,21 @@ class CompileService:
                 f"{', '.join(sorted(PIPELINES))}"
             )
         key = (_module_key(text), pipeline)
-        if self.dedup:
-            with self._lock:
-                module = self._modules.get(key)
+        base = None
+        with self._lock:
+            if self.dedup:
+                module = self._cached_module(key)
                 if module is not None:
-                    self._modules.move_to_end(key)
-                    self.module_hits += 1
                     return module
-        module = parse_module(text, "<request>")
-        verify_operation(module)
+                if pipeline:
+                    base = self._cached_module((key[0], ""))
+            if base is None:
+                self.module_parses += 1
+        if base is None:
+            module = parse_module(text, "<request>")
+            verify_operation(module)
+        else:
+            module = base.clone()
         if pipeline:
             pipeline_by_name(pipeline).run(module)
         if self.dedup:
@@ -595,6 +612,14 @@ class CompileService:
                 while len(self._modules) > self.module_cache_size:
                     _, evicted = self._modules.popitem(last=False)
                     self.analyses.forget(evicted)
+        return module
+
+    def _cached_module(self, key: tuple):
+        """The cached module under ``key``, counted as a hit; caller locks."""
+        module = self._modules.get(key)
+        if module is not None:
+            self._modules.move_to_end(key)
+            self.module_hits += 1
         return module
 
     def _execute(self, op: str, request: dict[str, Any]) -> tuple[bool, Any]:
@@ -719,6 +744,7 @@ class CompileService:
                 "coalesced": self.coalesced,
                 "outcome_hits": self.outcome_hits,
                 "module_hits": self.module_hits,
+                "module_parses": self.module_parses,
                 "admission_rejected": self.admission_rejected,
                 "deadline_expired": self.deadline_expired,
                 "circuit_rejected": self.circuit_rejected,

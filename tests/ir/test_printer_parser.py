@@ -192,6 +192,38 @@ class TestRoundTrips:
         )
         assert "%my_value" in printed
 
+    @pytest.mark.parametrize(
+        "source, key, value",
+        [
+            ('"test.op"() {s = "a\\"b"} : () -> ()', "s", 'a"b'),
+            ('"test.op"() {s = "a\\\\nb"} : () -> ()', "s", "a\\nb"),
+            ('"test.op"() {s = "a\\nb"} : () -> ()', "s", "a\nb"),
+            ('"test.op"() {"a b" = 1 : i64} : () -> ()', "a b", 1),
+        ],
+    )
+    def test_escaped_strings_and_quoted_keys(self, source, key, value):
+        printed = roundtrip(source)
+        (op,) = parse_module(printed).body_block.ops
+        assert op.attributes[key].value == value
+
+    def test_identifier_keys_print_bare_and_other_keys_quoted(self):
+        printed = roundtrip(
+            '"test.op"() {"a.b$c" = 1 : i64, "a-b" = 2 : i64, "1x"} : () -> ()'
+        )
+        assert "{a.b$c = 1 : i64, \"a-b\" = 2 : i64, \"1x\"}" in printed
+
+    def test_scalar_types_are_shared_and_compare_by_value(self):
+        from repro.ir import IntegerType, i64, structural_key
+
+        text = 'func.func @f(%a : i64, %b : i64) -> () {\n  func.return\n}'
+        one, two = parse_module(text), parse_module(text)
+        a, b = one.body_block.ops[0].regions[0].block.args
+        assert a.type is b.type is two.body_block.ops[0].regions[0].block.args[0].type
+        assert a.type == IntegerType(64) == i64
+        assert structural_key(one) == structural_key(two)
+        odd = parse_module('func.func @g(%a : i7) -> () {\n  func.return\n}')
+        assert odd.body_block.ops[0].regions[0].block.args[0].type == IntegerType(7)
+
 
 class TestParseErrors:
     def test_undefined_value(self):

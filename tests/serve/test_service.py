@@ -19,6 +19,25 @@ func.func @main(%x : i64) -> (i64) {
 }
 """
 
+#: a setup re-issued every iteration: ``full`` and ``dedup`` hoist it, so
+#: the pipelines' results differ
+LOOP_PROGRAM = """
+func.func @main(%x : i64) -> (i64) {
+  %lb = arith.constant 0 : i64
+  %ub = arith.constant 4 : i64
+  %one = arith.constant 1 : i64
+  %n = arith.constant 8 : i64
+  %r = scf.for %i = %lb to %ub step %one iter_args(%acc = %x) -> (i64) {
+    %s = accfg.setup on "toyvec" ("n" = %n : i64) : !accfg.state<"toyvec">
+    %t = accfg.launch %s : !accfg.token<"toyvec">
+    accfg.await %t
+    %y = arith.addi %acc, %n : i64
+    scf.yield %y : i64
+  }
+  func.return %r : i64
+}
+"""
+
 
 def service(**kwargs) -> CompileService:
     kwargs.setdefault("cache", TraceCache())
@@ -156,6 +175,135 @@ class TestDedupTiers:
         # hit: lint still reuses the cost request's analyses.
         assert len(bounded.analyses) == 2 * len(one.analyses) > 0
         assert bounded.analyses.hits == 6 * one.analyses.hits > 0
+
+    def test_one_parse_per_text_across_pipelines_and_ops(self, monkeypatch):
+        import repro.serve.service as service_module
+
+        verified = []
+        verify = service_module.verify_operation
+        monkeypatch.setattr(
+            service_module,
+            "verify_operation",
+            lambda module: verified.append(module) or verify(module),
+        )
+        requests = [
+            {"op": op, "module": LOOP_PROGRAM, "pipeline": pipeline, **extra}
+            for pipeline in ("", "full", "dedup", "baseline")
+            for op, extra in (
+                ("compile", {}),
+                ("simulate", {"args": [1]}),
+                ("cost", {}),
+                ("lint", {}),
+            )
+        ]
+        svc = service()
+        results = [svc.handle(dict(request)) for request in requests]
+        assert svc.stats()["module_parses"] == 1
+        assert len(verified) == 1
+        # Every request after the first is served a cached module: the
+        # text's own, or a clone of it run through the request's pipeline.
+        assert svc.stats()["module_hits"] == len(requests) - 1
+
+        reference = service(dedup=False)
+        for request, got in zip(requests, results):
+            want = reference.handle(dict(request))
+            assert got["ok"], got
+            assert got["result"] == want["result"], request
+        assert reference.module_parses == len(requests)
+        setup_instrs = {
+            request["pipeline"]: got["result"]["instrs"]["setup"]
+            for request, got in zip(requests, results)
+            if request["op"] == "simulate"
+        }
+        assert setup_instrs == {"": 4, "full": 1, "dedup": 1, "baseline": 4}
+
+    def test_a_fresh_parse_is_not_cloned(self):
+        # Only a text module a request without a pipeline left cached is
+        # cloned: a text sent under one pipeline takes one parse and one
+        # cache entry, as it would without the reuse.
+        svc = service()
+        for pipeline, parses, entries in (
+            ("full", 1, 1),
+            ("dedup", 2, 2),  # no text module cached yet: parse again
+            ("", 3, 3),
+            ("baseline", 3, 4),  # cloned from the text module
+        ):
+            request = {"op": "cost", "module": LOOP_PROGRAM, "pipeline": pipeline}
+            assert svc.handle(request)["ok"]
+            assert (svc.module_parses, len(svc._modules)) == (parses, entries)
+
+    def test_evicted_text_is_parsed_again(self):
+        programs = [
+            PROGRAM.replace("arith.constant 3", f"arith.constant {k}")
+            for k in range(3)
+        ]
+        svc = service(module_cache_size=2)
+        svc.handle({"op": "cost", "module": programs[0]})
+        svc.handle({"op": "cost", "module": programs[0], "pipeline": "full"})
+        assert svc.module_parses == 1
+        for text in programs[1:]:  # evicts both of programs[0]'s entries
+            svc.handle({"op": "cost", "module": text})
+        svc.handle({"op": "cost", "module": programs[0], "pipeline": "dedup"})
+        assert svc.module_parses == 4
+
+    def test_bounded_module_cache_holds_every_entry(self):
+        programs = [
+            PROGRAM.replace("arith.constant 3", f"arith.constant {k}")
+            for k in range(3)
+        ]
+        svc = service(module_cache_size=2)
+        for text in programs:
+            for pipeline in ("", "full", "dedup"):
+                for op in ("cost", "lint"):
+                    request = {"op": op, "module": text, "pipeline": pipeline}
+                    assert svc.handle(request)["ok"]
+                    assert len(svc._modules) <= 2
+                    # Analyses are held only for modules still cached.
+                    cached = [id(module) for module in svc._modules.values()]
+                    for scope, _ in svc.analyses._scopes.values():
+                        while scope.parent_op is not None:
+                            scope = scope.parent_op
+                        assert id(scope) in cached
+
+    def test_concurrent_clones_under_eviction_match_dedup_off(self):
+        import sys
+
+        texts = [LOOP_PROGRAM.replace("constant 8", f"constant {k}") for k in (8, 9)]
+        texts.append(PROGRAM)
+        requests = [
+            {"op": op, "module": text, "pipeline": pipeline, **extra}
+            for text in texts
+            for pipeline in ("", "full", "dedup", "baseline")
+            for op, extra in (("compile", {}), ("simulate", {"args": [2]}))
+        ]
+        reference = service(dedup=False)
+        want = [reference.handle(dict(r))["result"] for r in requests]
+        # A cache smaller than the working set evicts text modules while
+        # other threads clone them.
+        svc = service(module_cache_size=3, outcome_cache_size=1)
+        failures: list = []
+
+        def worker(index: int) -> None:
+            for step in range(3 * len(requests)):
+                at = (7 * index + step) % len(requests)
+                got = svc.handle(dict(requests[at]))
+                if not got["ok"] or got["result"] != want[at]:
+                    failures.append((requests[at]["pipeline"], got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
+        assert len(svc._modules) <= 3
+        assert svc.module_parses > len(texts)  # evictions forced re-parses
 
     def test_dedup_off_keeps_no_analyses(self):
         svc = service(dedup=False)

@@ -1,22 +1,34 @@
 """CI smoke test for `python -m repro serve` (the serve-smoke job).
 
 Boots a real server, fires ~50 mixed compile/simulate/lint/cost requests at
-it from 8 concurrent client connections (several tenants, duplicate-heavy —
-the workload the dedup tiers exist for), then checks:
+it from 8 concurrent client connections (several tenants, several pipelines
+per module, duplicate-heavy — the workload the dedup tiers exist for), then
+checks:
 
 * every request succeeded,
+* every response, ``meta`` and ``id`` aside, equals the one a
+  ``CompileService(dedup=False)`` computes in this process: a path that
+  shares no module, outcome or trace cache with the server,
 * the dedup tiers actually engaged (hit rate > 0),
 * a `shutdown` request stops the server cleanly.
 
 Exits non-zero with a diagnostic on any failure.
 """
 
+import json
 import sys
 import threading
 
 sys.path.insert(0, "src")
 
-from repro.serve import CompileService, ReproClient, ReproServer, probe  # noqa: E402
+from repro.engine import TraceCache  # noqa: E402
+from repro.serve import (  # noqa: E402
+    CompileService,
+    ReproClient,
+    ReproServer,
+    encode,
+    probe,
+)
 
 PROGRAMS = [
     """
@@ -40,31 +52,91 @@ func.func @main(%x : i64) -> (i64) {
   func.return %y : i64
 }
 """,
+    # A setup re-issued every iteration: `full` and `dedup` hoist it, so
+    # skipping a pipeline, or sharing one module between pipelines, would
+    # change the responses.
+    """
+func.func @main(%x : i64) -> (i64) {
+  %lb = arith.constant 0 : i64
+  %ub = arith.constant 4 : i64
+  %one = arith.constant 1 : i64
+  %n = arith.constant 8 : i64
+  %r = scf.for %i = %lb to %ub step %one iter_args(%acc = %x) -> (i64) {
+    %s = accfg.setup on "toyvec" ("n" = %n : i64) : !accfg.state<"toyvec">
+    %t = accfg.launch %s : !accfg.token<"toyvec">
+    accfg.await %t
+    %y = arith.addi %acc, %n : i64
+    scf.yield %y : i64
+  }
+  func.return %r : i64
+}
+""",
 ]
 
 CLIENTS = 8
 REQUESTS_PER_CLIENT = 7  # 56 total
+OPS = ("compile", "simulate", "lint", "cost")
+#: each module is requested under several pipelines, so once a request
+#: without a pipeline leaves a module's text module cached, the server
+#: clones it for the other pipelines
+PIPELINES = {
+    "compile": ("full", "dedup", "baseline"),
+    "simulate": ("", "full"),
+    "lint": ("", "full"),
+    "cost": ("", "full"),
+}
 
 
-def client_worker(host: str, port: int, index: int, failures: list) -> None:
+def request_for(index: int, step: int) -> dict:
+    op = OPS[step % len(OPS)]
+    pipelines = PIPELINES[op]
+    request = {
+        "op": op,
+        "module": PROGRAMS[(index + step) % len(PROGRAMS)],
+        # index // 2 decorrelates the pipeline from the module, so every
+        # (module, op, pipeline) combination is sent
+        "pipeline": pipelines[(index // 2 + step) % len(pipelines)],
+        "tenant": f"tenant{index % 4}",
+    }
+    if op == "simulate":
+        request["args"] = [1]
+    return request
+
+
+def client_worker(
+    host: str, port: int, index: int, exchanges: list, failures: list
+) -> None:
     try:
         with ReproClient(host, port, timeout=60.0) as client:
-            tenant = f"tenant{index % 4}"
             for step in range(REQUESTS_PER_CLIENT):
-                module = PROGRAMS[(index + step) % len(PROGRAMS)]
-                kind = step % 4
-                if kind == 0:
-                    response = client.compile(module, tenant=tenant)
-                elif kind == 1:
-                    response = client.simulate(module, args=[1], tenant=tenant)
-                elif kind == 2:
-                    response = client.lint(module, tenant=tenant)
-                else:
-                    response = client.cost(module, tenant=tenant)
+                request = request_for(index, step)
+                fields = {k: v for k, v in request.items() if k != "op"}
+                response = client.request(request["op"], **fields)
+                exchanges.append((request, response))
                 if not response.get("ok"):
                     failures.append(f"client {index} step {step}: {response}")
     except Exception as error:  # noqa: BLE001 - reported via failures
         failures.append(f"client {index}: {type(error).__name__}: {error}")
+
+
+def outcome(response: dict) -> dict:
+    """A response as it crossed the wire, without ``meta`` and ``id``."""
+    decoded = json.loads(encode(response))
+    return {k: v for k, v in decoded.items() if k not in ("meta", "id")}
+
+
+def mismatches(exchanges: list) -> list[str]:
+    """Requests whose response differs from a fresh, share-nothing service's."""
+    reference = CompileService(cache=TraceCache(), dedup=False)
+    found = []
+    for request, response in exchanges:
+        want = outcome(reference.handle(dict(request)))
+        if outcome(response) != want:
+            found.append(
+                f"{request['op']} under pipeline {request['pipeline']!r}: "
+                f"{outcome(response)} != {want}"
+            )
+    return found
 
 
 def main() -> int:
@@ -74,9 +146,12 @@ def main() -> int:
     host, port = server.address
     print(f"serve-smoke: server on {host}:{port}")
 
+    exchanges: list = []
     failures: list = []
     threads = [
-        threading.Thread(target=client_worker, args=(host, port, i, failures))
+        threading.Thread(
+            target=client_worker, args=(host, port, i, exchanges, failures)
+        )
         for i in range(CLIENTS)
     ]
     for thread in threads:
@@ -92,7 +167,7 @@ def main() -> int:
         f"dedup hit rate {stats['dedup_hit_rate']:.1%} "
         f"(coalesced {stats['coalesced']}, outcome hits "
         f"{stats['outcome_hits']}, module hits {stats['module_hits']}), "
-        f"{stats['errors']} error(s)"
+        f"{stats['module_parses']} module parse(s), {stats['errors']} error(s)"
     )
 
     if failures:
@@ -112,6 +187,14 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
+    differing = mismatches(exchanges)
+    if differing:
+        for line in differing[:10]:
+            print(f"serve-smoke: FAIL response differs from dedup=False: {line}",
+                  file=sys.stderr)
+        return 1
+    print(f"serve-smoke: {len(exchanges)} responses equal a dedup=False "
+          f"service's")
     if stats["dedup_hit_rate"] <= 0:
         print(
             "serve-smoke: FAIL dedup tiers never engaged on a "
