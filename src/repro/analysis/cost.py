@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 from ..dialects import accfg, arith, func, scf
 from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import BlockArgument, SSAValue
-from ..isa.instructions import CTRL_INSTR, FOREIGN_INSTR, Instr, InstrCategory
+from ..isa.instructions import CTRL_INSTR, Instr, InstrCategory
 
 K = TypeVar("K")
 
@@ -713,10 +713,9 @@ _SCALAR_OPS = (arith.ConstantOp, arith.BinaryOp, arith.CmpiOp, arith.SelectOp)
 _CALC_STREAM = (Instr("alu", InstrCategory.CALC),)
 _COMPUTE_STREAM = (Instr("alu", InstrCategory.COMPUTE),)
 #: a branch or a reset; a loop back-edge (increment + compare&branch) or a
-#: call (call + return jumps); an opaque foreign op
+#: call (call + return jumps)
 _CTRL_STREAM = (CTRL_INSTR,)
 _CTRL_PAIR_STREAM = (CTRL_INSTR, CTRL_INSTR)
-_FOREIGN_STREAM = (FOREIGN_INSTR,)
 
 
 class _FunctionWalker:
@@ -815,10 +814,10 @@ class _FunctionWalker:
     def _charge(self, op: Operation, counts: _Counts) -> bool:
         """Tally a straight-line op's charges and record its site.
 
-        Straight-line ops are scalar, setup, launch, await, reset, foreign
-        and ``cost_instrs()`` ops, plus the terminators, which charge
-        nothing.  Returns False, tallying nothing, for any other op and for
-        ops on unknown accelerators: :meth:`op_cost` prices those.
+        Straight-line ops are scalar, setup, launch, await, reset and
+        host-side ops, plus the terminators, which charge nothing.  Returns
+        False, tallying nothing, for any other op and for ops on unknown
+        accelerators: :meth:`op_cost` prices those.
         """
         if isinstance(op, _SCALAR_OPS):
             feeding = op in self.analysis._feeding
@@ -876,19 +875,11 @@ class _FunctionWalker:
                 op, "reset", accelerator, _CTRL_STREAM, counts.add(_CTRL_STREAM)
             )
             return True
-        # Extension point mirroring the interpreter's `interpret` hook: ops
-        # that charge custom instruction streams advertise them statically
-        # via `cost_instrs()`.
-        cost_hook = getattr(op, "cost_instrs", None)
-        if cost_hook is not None:
-            counts.add(cost_hook())
-            return True
-        if (
-            isinstance(op, UnregisteredOp)
-            and accfg.get_effects(op) is not None
-            and not op.results
-        ):
-            counts.add(_FOREIGN_STREAM)
+        # Host-side ops charge the stream their declared effect names, the
+        # same one both execution engines charge.
+        effect = accfg.host_effect(op)
+        if effect is not None:
+            counts.add(effect.stream)
             return True
         return False
 
@@ -927,10 +918,6 @@ class _FunctionWalker:
             verb = op.name.split(".")[-1]
             return CostVector.unmodeled_op(
                 f"{verb} on unknown accelerator '{op.accelerator}'"
-            )
-        if getattr(op, "interpret", None) is not None:
-            return CostVector.unmodeled_op(
-                f"'{op.name}' (interpret hook without cost_instrs)"
             )
         if isinstance(op, UnregisteredOp):
             return CostVector.unmodeled_op(f"'{op.op_name}'")

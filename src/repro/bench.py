@@ -172,7 +172,7 @@ def bench_simulate_cold(quick: bool = False) -> dict:
         for built in bases:
             sim = CoSimulator(memory=built.memory.duplicate(), functional=False)
             run_module_traced(
-                built.module, sim, args=built.args, cache=False, fallback=False
+                built.module, sim, args=built.args, cache=False
             )
             programs += 1
     wall = time.perf_counter() - started

@@ -15,11 +15,14 @@ host-controlled accelerators:
 
 The dialect also defines the ``#accfg.effects<all|none>`` escape hatches: an
 annotation on foreign ops declaring whether they clobber accelerator state.
+:func:`host_effect` describes what a host-side op does when executed, for
+the execution engines and the cost engine alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from ..ir.attributes import (
     ArrayAttr,
@@ -27,7 +30,7 @@ from ..ir.attributes import (
     StringAttr,
     TypeAttribute,
 )
-from ..ir.operation import Operation, VerifyError
+from ..ir.operation import Operation, UnregisteredOp, VerifyError
 from ..ir.printer import Printer, quote_string
 from ..ir.registry import (
     register_attr_parser,
@@ -36,6 +39,7 @@ from ..ir.registry import (
     register_type_parser,
 )
 from ..ir.ssa import SSAValue
+from ..isa.instructions import FOREIGN_INSTR, Instr
 
 EFFECTS_ATTR_NAME = "accfg.effects"
 
@@ -137,6 +141,45 @@ def get_effects(op: Operation) -> str | None:
         return attr.effects
     if isinstance(attr, StringAttr) and attr.value in ("all", "none"):
         return attr.value
+    return None
+
+
+class HostEffect(NamedTuple):
+    """What executing a host-side op does.
+
+    ``stream`` is the host instructions it charges.  On functional runs,
+    ``move(memory, *operand_values, *args)`` then moves data.  ``move`` is
+    a module-level function and ``args`` plain constants, so an effect
+    holds no IR and a compiled trace that carries it pickles.
+    """
+
+    stream: tuple[Instr, ...]
+    move: Callable[..., None] | None = None
+    args: tuple = ()
+
+
+#: an opaque foreign op: one host instruction, no data movement
+_FOREIGN_EFFECT = HostEffect((FOREIGN_INSTR,))
+
+
+def host_effect(op: Operation) -> HostEffect | None:
+    """The effect of an op outside the core dialects, or None when it has
+    no semantics.
+
+    An op class declares its own by defining ``host_effect(self)``.  A
+    foreign op annotated ``#accfg.effects`` (e.g. ``printf``) is opaque
+    host work, as long as it produces no values the program needs.  Every
+    engine and the cost engine read this one description.
+    """
+    declared = getattr(op, "host_effect", None)
+    if declared is not None:
+        return declared()
+    if (
+        isinstance(op, UnregisteredOp)
+        and not op.results
+        and get_effects(op) is not None
+    ):
+        return _FOREIGN_EFFECT
     return None
 
 

@@ -17,7 +17,6 @@ from .cache import (
 from .compiler import (
     CompiledFunction,
     CompiledModule,
-    TraceCompileError,
     compile_module,
 )
 from .executor import TraceExecutor, run_module_traced
@@ -32,7 +31,6 @@ __all__ = [
     "PersistentStore",
     "CompiledFunction",
     "CompiledModule",
-    "TraceCompileError",
     "compile_module",
     "TraceExecutor",
     "run_module_traced",

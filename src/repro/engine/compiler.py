@@ -23,9 +23,12 @@ content-hash trace cache in :mod:`repro.engine.cache` does.
 
 Compilation assumes *verified* IR (the executor is proven bit-identical to
 the tree interpreter on verifier-clean programs; IR that would not verify
-may diverge in the error paths).  Ops the compiler does not understand —
-custom ``interpret`` hooks, unregistered ops without an effects annotation —
-raise :class:`TraceCompileError`; callers fall back to the tree interpreter.
+may diverge in the error paths) and accepts every such module.  Setups,
+launches, awaits, resets, calls and host-side ops compile to the records of
+:func:`repro.interp.interpreter.runtime_record`, which both engines execute
+through one :class:`~repro.interp.interpreter.AccfgRuntime`.  An op with no
+semantics compiles to an ``OP_TRAP`` that raises the tree interpreter's
+error only if it is reached.
 """
 
 from __future__ import annotations
@@ -34,15 +37,15 @@ from dataclasses import dataclass
 
 from ..dialects import accfg, arith, func, scf
 from ..dialects.builtin import ModuleOp
-from ..interp.interpreter import config_feeding_ops
+from ..interp.interpreter import (
+    cannot_interpret,
+    config_feeding_ops,
+    runtime_record,
+)
 from ..ir.attributes import IntegerType
-from ..ir.operation import Operation, UnregisteredOp
+from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..isa.instructions import FOREIGN_INSTR, Instr, InstrCategory, scalar_instr
-
-
-class TraceCompileError(Exception):
-    """Raised when a module cannot be lowered to a flat trace."""
+from ..isa.instructions import Instr, InstrCategory, scalar_instr
 
 
 # Opcodes.  Dense small ints so the executor dispatches on an int compare
@@ -63,7 +66,17 @@ OP_AWAIT = 12
 OP_RESET = 13
 OP_CALL = 14
 OP_RETURN = 15
-OP_FOREIGN = 16
+OP_HOST = 16
+OP_TRAP = 17
+
+#: opcodes of the runtime records that are not host-side ops
+_RUNTIME_OPCODES = {
+    accfg.SetupOp: OP_SETUP,
+    accfg.LaunchOp: OP_LAUNCH,
+    accfg.AwaitOp: OP_AWAIT,
+    accfg.ResetOp: OP_RESET,
+    func.CallOp: OP_CALL,
+}
 
 
 @dataclass
@@ -94,11 +107,6 @@ class CompiledModule:
         self.site_count = site_count
         #: content hash of the source module text (set by the cache layer)
         self.fingerprint = fingerprint
-
-
-def _loc_suffix(op: Operation) -> str:
-    """The " at file:line" suffix the interpreter's ``_fail`` appends."""
-    return f" at {op.loc}" if op.loc is not None else ""
 
 
 def _int_mask(type_) -> int | None:
@@ -242,72 +250,11 @@ class _FunctionCompiler:
                 (OP_RETURN, tuple(self.slot(v) for v in op.operands))
             )
             return
-        if isinstance(op, func.CallOp):
-            code.append(
-                (
-                    OP_CALL,
-                    op.callee,
-                    tuple(self.slot(v) for v in op.operands),
-                    tuple(self.slot(r) for r in op.results),
-                )
-            )
-            return
-        if isinstance(op, accfg.SetupOp):
-            in_state = op.in_state
-            code.append(
-                (
-                    OP_SETUP,
-                    op.accelerator,
-                    tuple(op.field_names),
-                    tuple(self.slot(v) for v in op.field_values),
-                    self.slot(op.out_state),
-                    self.slot(in_state) if in_state is not None else None,
-                    _loc_suffix(op),
-                    # The site number: the fault-recovery runtime plans
-                    # minimal re-setup per site.  Unused on fault-free runs.
-                    self._sites[op],
-                )
-            )
-            return
-        if isinstance(op, accfg.LaunchOp):
-            code.append(
-                (
-                    OP_LAUNCH,
-                    op.accelerator,
-                    tuple(op.field_names),
-                    tuple(self.slot(v) for _, v in op.fields),
-                    self.slot(op.token),
-                    self.slot(op.state),
-                    _loc_suffix(op),
-                    self._sites[op],
-                )
-            )
-            return
-        if isinstance(op, accfg.AwaitOp):
-            code.append(
-                (
-                    OP_AWAIT,
-                    self.slot(op.token),
-                    op.accelerator,
-                    _loc_suffix(op),
-                )
-            )
-            return
-        if isinstance(op, accfg.ResetOp):
-            code.append((OP_RESET, self.slot(op.state)))
-            return
-        if getattr(op, "interpret", None) is not None:
-            raise TraceCompileError(
-                f"op '{op.name}' carries a custom interpret hook"
-            )
-        if isinstance(op, UnregisteredOp):
-            if accfg.get_effects(op) is not None and not op.results:
-                code.append((OP_FOREIGN, FOREIGN_INSTR))
-                return
-            raise TraceCompileError(
-                f"cannot compile unregistered op '{op.op_name}'"
-            )
-        raise TraceCompileError(f"cannot compile op '{op.name}'")
+        record = runtime_record(op, self.slot, self._sites.get(op))
+        if record is None:
+            code.append((OP_TRAP, cannot_interpret(op)))
+        else:
+            code.append((_RUNTIME_OPCODES.get(type(op), OP_HOST), record))
 
     def compile_for(self, op: scf.ForOp) -> None:
         code = self.code

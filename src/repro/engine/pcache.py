@@ -52,7 +52,9 @@ from .compiler import CompiledModule
 #: Bump on any change to the entry layout or to the compiled-trace tuple
 #: format; old entries then read as misses and are lazily replaced.
 #: Version 2: setup/launch tuples carry site numbers, not ``None``.
-SCHEMA = "repro-cache/2"
+#: Version 3: runtime ops carry shared runtime records; ``OP_HOST`` replaces
+#: ``OP_FOREIGN`` and ``OP_TRAP`` is new.
+SCHEMA = "repro-cache/3"
 
 #: Default size bound of one store directory (plenty for every fuzz/CI
 #: workload; a full 200-iteration three-backend fuzz run compiles ~2k

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..engine.compiler import TraceCompileError, compile_module
+from ..engine.compiler import compile_module
 from ..engine.executor import TraceExecutor
 from ..interp.interpreter import Interpreter, InterpreterError
 from ..passes.pipeline import PIPELINES
@@ -232,9 +232,6 @@ def _check_one(
     trace_injector = FaultInjector(pseed, rates)
     try:
         compiled = compile_module(module)
-    except TraceCompileError as error:
-        return finding("trace-vs-tree", f"trace compile rejected: {error}")
-    try:
         trace_memory = fresh_memory()
         trace_sim = CoSimulator(
             memory=trace_memory,

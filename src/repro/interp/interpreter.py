@@ -11,6 +11,11 @@ Instruction categorization: host scalar ops whose values flow (transitively)
 into setup or launch fields are *configuration parameter calculation*
 (``calc``, the ``T_calc`` of Eq. 4); all other scalar work is host compute.
 Loop and branch management is charged as ``control``.
+
+Setups, launches, awaits, resets, calls and host-side ops run through
+:class:`AccfgRuntime`, the base class this interpreter shares with the
+trace engine (:class:`repro.engine.executor.TraceExecutor`): the accfg
+protocol's checks and messages exist once, for both engines.
 """
 
 from __future__ import annotations
@@ -24,24 +29,40 @@ from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import SSAValue
 from ..sim.cosim import CoSimulator
 from ..sim.device import FaultError, LaunchToken
-from ..isa.instructions import CTRL_INSTR, FOREIGN_INSTR, Instr, InstrCategory
+from ..isa.instructions import CTRL_INSTR, Instr, InstrCategory
 
 
 class InterpreterError(Exception):
     """Raised when a program cannot be interpreted."""
 
 
-#: control charges by record count (one branch; a loop back-edge or a call's
-#: two jumps), shared so the simulator resolves each stream once
+#: control charges by record count (one branch or reset; a loop back-edge
+#: or a call's two jumps), shared so the simulator resolves each stream once
 _CONTROL_STREAMS = {1: (CTRL_INSTR,), 2: (CTRL_INSTR, CTRL_INSTR)}
-_FOREIGN_STREAM = (FOREIGN_INSTR,)
 
 
-def _fail(op: Operation, message: str) -> "InterpreterError":
-    """An InterpreterError carrying the op's source location when known."""
-    if op.loc is not None:
-        message = f"{message} at {op.loc}"
-    return InterpreterError(message)
+def _loc_suffix(loc) -> str:
+    """The " at file:line:col" suffix of an error raised at an op."""
+    return f" at {loc}" if loc is not None else ""
+
+
+def _not_int(value) -> InterpreterError:
+    return InterpreterError(
+        f"expected an integer value, found {type(value).__name__}"
+    )
+
+
+def _nonpositive_step() -> InterpreterError:
+    return InterpreterError("scf.for requires a positive step")
+
+
+def cannot_interpret(op: Operation) -> str:
+    """The error for an op no engine gives semantics to."""
+    if isinstance(op, UnregisteredOp):
+        what = f"unregistered op '{op.op_name}'"
+    else:
+        what = f"op '{op.name}'"
+    return f"cannot interpret {what}{_loc_suffix(op.loc)}"
 
 
 @dataclass(frozen=True)
@@ -78,52 +99,270 @@ def config_feeding_ops(module: ModuleOp) -> set[Operation]:
     return feeding
 
 
-class Interpreter:
-    """Executes one module against a co-simulator."""
+def runtime_record(op: Operation, key, site=None) -> tuple | None:
+    """What :class:`AccfgRuntime` reads to execute ``op``; None for an op it
+    does not execute (scalar ops, control flow, and ops with no semantics).
 
-    def __init__(self, module: ModuleOp, sim: CoSimulator) -> None:
-        self.module = module
+    Each SSA operand or result appears as ``key(value)``: the value itself
+    for the tree interpreter, a frame slot for the trace engine.  ``site``
+    names a setup or launch for fault recovery (the op, or its number in
+    :func:`repro.dialects.accfg.config_sites`).
+    """
+    if isinstance(op, accfg.SetupOp):
+        in_state = op.in_state
+        return (
+            op.accelerator,
+            op.field_names,
+            tuple(map(key, op.field_values)),
+            key(op.out_state),
+            None if in_state is None else key(in_state),
+            op.loc,
+            site,
+        )
+    if isinstance(op, accfg.LaunchOp):
+        return (
+            op.accelerator,
+            op.field_names,
+            tuple(key(value) for _, value in op.fields),
+            key(op.token),
+            key(op.state),
+            op.loc,
+            site,
+        )
+    if isinstance(op, accfg.AwaitOp):
+        # Not ``op.accelerator``, which asserts a token type: an operand that
+        # is no token must reach the runtime's own check.
+        accel = getattr(op.token.type, "accelerator", None)
+        return (key(op.token), accel, op.loc)
+    if isinstance(op, accfg.ResetOp):
+        return (key(op.state),)
+    if isinstance(op, func.CallOp):
+        return (
+            op.callee,
+            tuple(map(key, op.operands)),
+            tuple(map(key, op.results)),
+        )
+    effect = accfg.host_effect(op)
+    if effect is None:
+        return None
+    return (effect.stream, effect.move, tuple(map(key, op.operands)), effect.args)
+
+
+class AccfgRuntime:
+    """The accfg protocol of one run, shared by both execution engines.
+
+    It owns the run's protocol state and executes every setup, launch,
+    await, reset, call and host-side op with its checks, so each check and
+    error message exists once.  An engine keeps its values in a *frame*
+    (the tree interpreter's dict, the trace engine's slot list), and the
+    runtime reads and writes it through the keys of a
+    :func:`runtime_record`.  Engines supply ``_arity`` and ``_invoke``
+    for their own function objects.
+    """
+
+    def __init__(self, sim: CoSimulator, functions: dict, declarations) -> None:
         self.sim = sim
-        self._functions: dict[str, func.FuncOp] = {}
-        for op in module.body_block.ops:
-            if isinstance(op, func.FuncOp):
-                self._functions[op.sym_name] = op
-        self._config_feeding = config_feeding_ops(module)
-        #: scalar op -> the one-record stream it charges, built on first run
-        self._scalar_streams: dict[Operation, tuple[Instr]] = {}
+        #: name -> the engine's callable function; declarations stay apart
+        self._functions = functions
+        self._declarations = declarations
+        self.max_call_depth = 256
         self._state_counter = 0
         self._call_depth = 0
-        self.max_call_depth = 256
-        # Runtime accfg protocol state: completed tokens (double-await
-        # detection), states invalidated by accfg.reset, and a per-accelerator
-        # reset epoch so launches outstanding across a reset are caught.
+        # Completed tokens (double-await detection), states invalidated by
+        # accfg.reset, and a per-accelerator reset epoch so launches
+        # outstanding across a reset are caught.
         self._awaited: set[LaunchToken] = set()
         self._reset_states: set[StateHandle] = set()
         self._reset_epoch: dict[str, int] = {}
         self._token_epoch: dict[LaunchToken, int] = {}
 
+    def _arity(self, fn) -> int:
+        raise NotImplementedError
+
+    def _invoke(self, fn, args: list) -> list:
+        """Run ``fn`` on ``args`` to completion; returns its results."""
+        raise NotImplementedError
+
+    # -- functions ---------------------------------------------------------
+
+    def _enter(self, function: str, args: list | None) -> list:
+        fn = self._functions.get(function)
+        if fn is None:
+            if function in self._declarations:
+                raise InterpreterError(f"function '{function}' has no body")
+            raise InterpreterError(f"no function '{function}' in module")
+        args = args or []
+        arity = self._arity(fn)
+        if len(args) != arity:
+            raise InterpreterError(
+                f"'{function}' expects {arity} arguments, got {len(args)}"
+            )
+        return self._invoke(fn, args)
+
+    def _call(self, frame, record: tuple) -> None:
+        name, arg_keys, result_keys = record
+        callee = self._functions.get(name)
+        if callee is None:
+            raise InterpreterError(
+                f"call to unknown/declared function '@{name}'"
+            )
+        self.sim.charge(_CONTROL_STREAMS[2])  # call + return jumps
+        if self._call_depth >= self.max_call_depth:
+            raise InterpreterError(
+                f"call depth exceeded {self.max_call_depth} "
+                f"(unbounded recursion via '@{name}'?)"
+            )
+        args = [frame[key] for key in arg_keys]
+        self._call_depth += 1
+        try:
+            values = self._invoke(callee, args)
+        finally:
+            self._call_depth -= 1
+        for key, value in zip(result_keys, values):
+            frame[key] = value
+
+    # -- accfg ops ---------------------------------------------------------
+
+    def _setup(self, frame, record: tuple) -> None:
+        accel, names, keys, out_key, in_key, loc, site = record
+        if in_key is not None and frame[in_key] in self._reset_states:
+            raise _reset_state_error("setup", accel, loc)
+        fields = _int_fields(frame, names, keys)
+        try:
+            self.sim.exec_setup(accel, fields, site=site)
+        except (KeyError, FaultError) as error:
+            raise _sim_error("setup", error, loc) from None
+        self._state_counter += 1
+        frame[out_key] = StateHandle(accel, self._state_counter)
+
+    def _launch(self, frame, record: tuple) -> None:
+        accel, names, keys, token_key, state_key, loc, site = record
+        if frame[state_key] in self._reset_states:
+            raise _reset_state_error("launch", accel, loc)
+        fields = _int_fields(frame, names, keys)
+        try:
+            token = self.sim.exec_launch(accel, fields, site=site)
+        except (KeyError, FaultError) as error:
+            raise _sim_error("launch", error, loc) from None
+        self._token_epoch[token] = self._reset_epoch.get(accel, 0)
+        frame[token_key] = token
+
+    def _await(self, frame, record: tuple) -> None:
+        token_key, accel, loc = record
+        token = frame[token_key]
+        if not isinstance(token, LaunchToken):
+            raise InterpreterError(
+                f"await of a value that is not a token{_loc_suffix(loc)}"
+            )
+        if token in self._awaited:
+            raise InterpreterError(
+                f"double await of a token on '{accel}' "
+                f"(the launch was already awaited){_loc_suffix(loc)}"
+            )
+        epoch = self._reset_epoch.get(accel, 0)
+        if self._token_epoch.get(token, epoch) != epoch:
+            raise InterpreterError(
+                f"await of a launch on '{accel}' that was "
+                f"discarded by accfg.reset{_loc_suffix(loc)}"
+            )
+        try:
+            self.sim.exec_await(token)
+        except FaultError as error:
+            raise _sim_error("await", error, loc) from None
+        self._awaited.add(token)
+
+    def _reset(self, frame, record: tuple) -> None:
+        handle = frame[record[0]]
+        if isinstance(handle, StateHandle):
+            accel = handle.accelerator
+            self._reset_states.add(handle)
+            self._reset_epoch[accel] = self._reset_epoch.get(accel, 0) + 1
+            if self.sim.faults is not None:
+                self.sim.exec_reset(accel)
+        self.sim.charge(_CONTROL_STREAMS[1])
+
+    def _host(self, frame, record: tuple) -> None:
+        """A host-side op: its data move, then its charge."""
+        stream, move, keys, args = record
+        sim = self.sim
+        if move is not None and sim.functional:
+            move(sim.memory, *[frame[key] for key in keys], *args)
+        sim.charge(stream)
+
+
+def _int_fields(frame, names: tuple[str, ...], keys: tuple) -> dict[str, int]:
+    fields = {}
+    for name, key in zip(names, keys):
+        value = frame[key]
+        if not isinstance(value, int):
+            raise _not_int(value)
+        fields[name] = value
+    return fields
+
+
+def _reset_state_error(verb: str, accel: str, loc) -> InterpreterError:
+    return InterpreterError(
+        f"{verb} on '{accel}' uses a state that was reset "
+        f"(register contents are no longer defined){_loc_suffix(loc)}"
+    )
+
+
+def _sim_error(verb: str, error: Exception, loc) -> InterpreterError:
+    """A simulator failure at an op: an unknown accelerator (``KeyError``)
+    or an unrepaired injected fault."""
+    if isinstance(error, KeyError):
+        return InterpreterError(f"{verb} on {error.args[0]}{_loc_suffix(loc)}")
+    return InterpreterError(f"{error}{_loc_suffix(loc)}")
+
+
+def _same(value):
+    return value
+
+
+class Interpreter(AccfgRuntime):
+    """Executes one module against a co-simulator."""
+
+    def __init__(self, module: ModuleOp, sim: CoSimulator) -> None:
+        functions: dict[str, func.FuncOp] = {}
+        declarations: set[str] = set()
+        for op in module.body_block.ops:
+            if isinstance(op, func.FuncOp):
+                if op.is_declaration:
+                    declarations.add(op.sym_name)
+                else:
+                    functions[op.sym_name] = op
+        super().__init__(sim, functions, declarations)
+        self.module = module
+        self._config_feeding = config_feeding_ops(module)
+        #: scalar op -> the one-record stream it charges, built on first run
+        self._scalar_streams: dict[Operation, tuple[Instr]] = {}
+        #: op -> its runtime record, built on first run
+        self._records: dict[Operation, tuple | None] = {}
+
     # -- public API ------------------------------------------------------
 
     def run(self, function: str = "main", args: list[int] | None = None) -> list[int]:
         """Interpret ``function`` to completion; returns its results."""
-        fn = self._functions.get(function)
-        if fn is None:
-            raise InterpreterError(f"no function '{function}' in module")
-        if fn.is_declaration:
-            raise InterpreterError(f"function '{function}' has no body")
-        args = args or []
-        if len(args) != len(fn.args):
-            raise InterpreterError(
-                f"'{function}' expects {len(fn.args)} arguments, got {len(args)}"
-            )
+        return self._enter(function, args)
+
+    # -- execution ---------------------------------------------------------
+
+    def _arity(self, fn: func.FuncOp) -> int:
+        return len(fn.args)
+
+    def _invoke(self, fn: func.FuncOp, args: list) -> list:
         env: dict[SSAValue, object] = dict(zip(fn.args, args))
         try:
-            self._run_block(fn.body, env)
+            # The body's loop is inlined (not ``_run_block``) so a call level
+            # costs three Python frames and 256 levels fit the default
+            # recursion limit.
+            for op in fn.body.ops:
+                self._run_op(op, env)
+                if op.is_terminator:
+                    break
         except _ReturnSignal as signal:
             return signal.values
         return []
-
-    # -- execution ---------------------------------------------------------
 
     def _run_block(self, block, env: dict[SSAValue, object]) -> list:
         """Execute a block; returns the values yielded by its terminator."""
@@ -144,8 +383,11 @@ class Interpreter:
             stream = self._scalar_streams[op] = (Instr(mnemonic, category),)
         self.sim.charge(stream)
 
-    def _charge_control(self, count: int = 1) -> None:
-        self.sim.charge(_CONTROL_STREAMS[count])
+    def _record(self, op: Operation) -> tuple | None:
+        record = self._records.get(op)
+        if record is None:
+            record = self._records[op] = runtime_record(op, _same, op)
+        return record
 
     def _run_op(self, op: Operation, env: dict[SSAValue, object]):
         if isinstance(op, arith.ConstantOp):
@@ -185,107 +427,34 @@ class Interpreter:
             return [env[v] for v in op.operands]
         if isinstance(op, func.ReturnOp):
             raise _ReturnSignal([env[v] for v in op.operands])
-        if isinstance(op, func.CallOp):
-            return self._run_call(op, env)
         if isinstance(op, accfg.SetupOp):
-            if op.in_state is not None and env.get(op.in_state) in self._reset_states:
-                raise _fail(
-                    op,
-                    f"setup on '{op.accelerator}' uses a state that was reset "
-                    "(register contents are no longer defined)",
-                )
-            fields = {
-                name: self._as_int(env, value) for name, value in op.fields
-            }
-            try:
-                self.sim.exec_setup(op.accelerator, fields, site=op)
-            except KeyError as error:
-                raise _fail(op, f"setup on {error.args[0]}") from None
-            except FaultError as error:
-                raise _fail(op, str(error)) from None
-            self._state_counter += 1
-            env[op.out_state] = StateHandle(op.accelerator, self._state_counter)
-            return None
-        if isinstance(op, accfg.LaunchOp):
-            if op.state is not None and env.get(op.state) in self._reset_states:
-                raise _fail(
-                    op,
-                    f"launch on '{op.accelerator}' uses a state that was reset "
-                    "(register contents are no longer defined)",
-                )
-            fields = {
-                name: self._as_int(env, value) for name, value in op.fields
-            }
-            try:
-                token = self.sim.exec_launch(op.accelerator, fields, site=op)
-            except KeyError as error:
-                raise _fail(op, f"launch on {error.args[0]}") from None
-            except FaultError as error:
-                raise _fail(op, str(error)) from None
-            self._token_epoch[token] = self._reset_epoch.get(op.accelerator, 0)
-            env[op.token] = token
-            return None
-        if isinstance(op, accfg.AwaitOp):
-            token = env[op.token]
-            if not isinstance(token, LaunchToken):
-                raise _fail(op, "await of a value that is not a token")
-            if token in self._awaited:
-                raise _fail(
-                    op,
-                    f"double await of a token on '{op.accelerator}' "
-                    "(the launch was already awaited)",
-                )
-            epoch = self._reset_epoch.get(op.accelerator, 0)
-            if self._token_epoch.get(token, epoch) != epoch:
-                raise _fail(
-                    op,
-                    f"await of a launch on '{op.accelerator}' that was "
-                    "discarded by accfg.reset",
-                )
-            try:
-                self.sim.exec_await(token)
-            except FaultError as error:
-                raise _fail(op, str(error)) from None
-            self._awaited.add(token)
-            return None
-        if isinstance(op, accfg.ResetOp):
-            handle = env.get(op.state)
-            if isinstance(handle, StateHandle):
-                self._reset_states.add(handle)
-                self._reset_epoch[handle.accelerator] = (
-                    self._reset_epoch.get(handle.accelerator, 0) + 1
-                )
-                if self.sim.faults is not None:
-                    self.sim.exec_reset(handle.accelerator)
-            self._charge_control()
-            return None
-        # Extension point: ops outside the core dialects may carry their own
-        # interpretation (e.g. host-side data-movement helpers).
-        hook = getattr(op, "interpret", None)
-        if hook is not None:
-            hook(self, env)
-            return None
-        if isinstance(op, UnregisteredOp):
-            # Foreign ops annotated #accfg.effects<none> (e.g. printf) are
-            # executable as opaque host work as long as they produce no
-            # values the program needs.
-            if accfg.get_effects(op) is not None and not op.results:
-                self.sim.charge(_FOREIGN_STREAM)
-                return None
-            raise _fail(op, f"cannot interpret unregistered op '{op.op_name}'")
-        raise _fail(op, f"cannot interpret op '{op.name}'")
+            self._setup(env, self._record(op))
+        elif isinstance(op, accfg.LaunchOp):
+            self._launch(env, self._record(op))
+        elif isinstance(op, accfg.AwaitOp):
+            self._await(env, self._record(op))
+        elif isinstance(op, accfg.ResetOp):
+            self._reset(env, self._record(op))
+        elif isinstance(op, func.CallOp):
+            self._call(env, self._record(op))
+        else:
+            record = self._record(op)
+            if record is None:
+                raise InterpreterError(cannot_interpret(op))
+            self._host(env, record)
+        return None
 
     def _run_for(self, op: scf.ForOp, env: dict[SSAValue, object]) -> None:
         lb = self._as_int(env, op.lb)
         ub = self._as_int(env, op.ub)
         step = self._as_int(env, op.step)
         if step <= 0:
-            raise InterpreterError("scf.for requires a positive step")
+            raise _nonpositive_step()
         carried = [env[v] for v in op.iter_inits]
         iv = lb
         while iv < ub:
             # Increment + compare&branch of the loop back-edge.
-            self._charge_control(2)
+            self.sim.charge(_CONTROL_STREAMS[2])
             env[op.induction_var] = iv
             for arg, value in zip(op.iter_args, carried):
                 env[arg] = value
@@ -297,7 +466,7 @@ class Interpreter:
 
     def _run_if(self, op: scf.IfOp, env: dict[SSAValue, object]) -> None:
         cond = self._as_int(env, op.condition)
-        self._charge_control(1)
+        self.sim.charge(_CONTROL_STREAMS[1])
         if cond:
             values = self._run_block(op.then_block, env)
         elif op.has_else:
@@ -308,39 +477,11 @@ class Interpreter:
             env[result] = value
         return None
 
-    def _run_call(self, op: func.CallOp, env: dict[SSAValue, object]) -> None:
-        callee = self._functions.get(op.callee)
-        if callee is None or callee.is_declaration:
-            raise InterpreterError(
-                f"call to unknown/declared function '@{op.callee}'"
-            )
-        self._charge_control(2)  # call + return jumps
-        if self._call_depth >= self.max_call_depth:
-            raise InterpreterError(
-                f"call depth exceeded {self.max_call_depth} "
-                f"(unbounded recursion via '@{op.callee}'?)"
-            )
-        args = [env[v] for v in op.operands]
-        inner_env: dict[SSAValue, object] = dict(zip(callee.args, args))
-        self._call_depth += 1
-        try:
-            self._run_block(callee.body, inner_env)
-            values: list = []
-        except _ReturnSignal as signal:
-            values = signal.values
-        finally:
-            self._call_depth -= 1
-        for result, value in zip(op.results, values):
-            env[result] = value
-        return None
-
     @staticmethod
     def _as_int(env: dict[SSAValue, object], value: SSAValue) -> int:
         entry = env.get(value)
         if not isinstance(entry, int):
-            raise InterpreterError(
-                f"expected an integer value, found {type(entry).__name__}"
-            )
+            raise _not_int(entry)
         return entry
 
 

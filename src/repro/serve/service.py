@@ -71,12 +71,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..analysis import AnalysisManager
-from ..engine import (
-    TRACE_CACHE,
-    TraceCompileError,
-    module_fingerprint,
-    run_module_traced,
-)
+from ..engine import TRACE_CACHE, module_fingerprint, run_module_traced
 from ..interp import Interpreter, InterpreterError
 from ..ir import parse_module, verify_operation
 from ..passes import PIPELINES, pipeline_by_name
@@ -649,13 +644,8 @@ class CompileService:
     def _op_compile(self, module, request: dict[str, Any]) -> dict[str, Any]:
         fingerprint = module_fingerprint(module)
         # Publish the compiled trace into the shared cache so any tenant's
-        # later simulate of the same module starts warm.  A module the trace
-        # compiler rejects (an op with its own interpret hook) publishes
-        # nothing: simulate runs it on the tree interpreter.
-        try:
-            self.cache.get_or_compile(module, key=fingerprint)
-        except TraceCompileError:
-            pass
+        # later simulate of the same module starts warm.
+        self.cache.get_or_compile(module, key=fingerprint)
         return {
             "text": str(module),
             "fingerprint": fingerprint,

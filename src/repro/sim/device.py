@@ -30,7 +30,8 @@ class FaultError(SimulationError):
 
     Raised by the co-simulator when fault injection is active and either
     recovery is disabled or a bounded-retry recovery strategy ran out of
-    attempts.  Both execution engines convert it into a loc-tagged
+    attempts.  :class:`repro.interp.interpreter.AccfgRuntime`, which both
+    execution engines share, converts it into a loc-tagged
     ``InterpreterError`` so faulted runs fail loudly at the offending op
     instead of silently corrupting results.
     """

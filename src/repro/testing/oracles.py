@@ -243,24 +243,17 @@ def _shared_prefixes(
 
 
 def _execute(module, memory, args, engine, key=None):
-    """Run ``module`` under the selected engine.
+    """Run ``module`` under the selected engine; returns ``(results, sim)``.
 
-    Returns ``(results, sim, used_trace)``; ``used_trace`` is False when the
-    tree interpreter ran (either by request or as the fallback for modules
-    the trace compiler rejects).  ``key`` is an optional precomputed
-    structural key for the trace cache.
+    ``key`` is an optional precomputed structural key for the trace cache.
     """
     sim = CoSimulator(memory=memory)
-    if engine != "tree":
-        from ..engine import TRACE_CACHE, TraceCompileError, TraceExecutor
+    if engine == "tree":
+        return run_module(module, sim, args=args)[0], sim
+    from ..engine import TRACE_CACHE, TraceExecutor
 
-        try:
-            compiled = TRACE_CACHE.get_or_compile(module, key=key)
-        except TraceCompileError:
-            pass
-        else:
-            return TraceExecutor(compiled, sim).run("main", args), sim, True
-    return run_module(module, sim, args=args)[0], sim, False
+    compiled = TRACE_CACHE.get_or_compile(module, key=key)
+    return TraceExecutor(compiled, sim).run("main", args), sim
 
 
 def _first_mismatch(xs, ys) -> int:
@@ -347,7 +340,7 @@ def run_one(
             pipeline.run(module)
             verify_operation(module)
         stage = "execute"
-        results, sim, _ = _execute(module, memory, args, engine)
+        results, sim = _execute(module, memory, args, engine)
         stage = "lint"
         lint_errors = error_code_counts(
             run_lints(module, codes=set(ERROR_LINT_CODES))
@@ -581,10 +574,10 @@ class _SubjectRunner:
             stage = "execute"
             if memory is None or args is None:
                 memory, args = _fresh_memory(self.subject)
-            results, sim, used_trace = _execute(
+            results, sim = _execute(
                 module, memory, args, self.engine, fingerprint
             )
-            if cross_check and used_trace:
+            if cross_check:
                 divergence = _cross_check(
                     name, module, self.subject, results, sim, memory
                 )

@@ -244,10 +244,21 @@ def _emit_requantize(gen: IRGen, acc, mirror, batch, size) -> None:
 
 
 # A tiny host-side helper op: narrows int32 activations to int8 in memory.
-from ..ir.attributes import IntegerAttr  # noqa: E402
+from ..dialects.accfg import HostEffect, set_effects  # noqa: E402
+from ..ir.attributes import IndexType, IntegerAttr, IntegerType  # noqa: E402
 from ..ir.operation import Operation, VerifyError  # noqa: E402
 from ..ir.printer import Printer  # noqa: E402
 from ..ir.registry import register_custom_parser, register_op  # noqa: E402
+from ..isa.instructions import Instr, InstrCategory  # noqa: E402
+
+#: what the host pays per 8 elements copied
+_DMA_WORD = Instr("dma-word", InstrCategory.COMPUTE)
+
+
+def _requantize(memory: Memory, src: int, dst: int, n: int) -> None:
+    """``dst_int8[i] = int8(src_int32[i])`` for ``n`` elements."""
+    values = memory.read_matrix(src, 1, n, n, np.int32)[0]
+    memory.write_matrix(dst, values.astype(np.int8).reshape(1, -1), n)
 
 
 @register_op
@@ -259,12 +270,10 @@ class RequantizeOp(Operation):
 
     @staticmethod
     def create(src, dst, n: int) -> "RequantizeOp":
-        from ..dialects import accfg
-
         op = RequantizeOp(operands=[src, dst])
         op.attributes["n"] = IntegerAttr(n)
         # A plain data move: never touches configuration registers.
-        accfg.set_effects(op, "none")
+        set_effects(op, "none")
         return op
 
     @property
@@ -276,6 +285,12 @@ class RequantizeOp(Operation):
     def verify_(self) -> None:
         if len(self.operands) != 2:
             raise VerifyError("net.requantize needs src and dst")
+        for operand in self.operands:
+            if not isinstance(operand.type, (IntegerType, IndexType)):
+                raise VerifyError(
+                    "net.requantize addresses must be integers, "
+                    f"got {operand.type}"
+                )
         attr = self.attributes.get("n")
         if not isinstance(attr, IntegerAttr) or attr.value <= 0:
             raise VerifyError("net.requantize needs a positive 'n'")
@@ -287,28 +302,14 @@ class RequantizeOp(Operation):
         printer.print_value(self.operands[1])
         printer.emit(f" n({self.n})")
 
-    def cost_instrs(self) -> list:
-        """The instruction stream :meth:`interpret` charges — advertised
-        statically so the cost engine can model this op exactly."""
-        from ..isa.instructions import Instr, InstrCategory
+    def host_effect(self) -> HostEffect:
+        """One host word per 8 elements, and the copy on functional runs.
 
-        return [Instr("dma-word", InstrCategory.COMPUTE)] * max(1, self.n // 8)
-
-    def interpret(self, interpreter, env) -> None:
-        """Functional semantics + host cost (one word per 8 elements).
-
-        A timing-only simulation (``functional=False``) moves no data, as
-        accelerator launches there do not.
+        A timing-only simulation moves no data, as accelerator launches
+        there do not.
         """
-        sim = interpreter.sim
-        if sim.functional:
-            src = env[self.operands[0]]
-            dst = env[self.operands[1]]
-            values = sim.memory.read_matrix(src, 1, self.n, self.n, np.int32)[0]
-            sim.memory.write_matrix(
-                dst, values.astype(np.int8).reshape(1, -1), self.n
-            )
-        sim.charge(self.cost_instrs())
+        n = self.n
+        return HostEffect((_DMA_WORD,) * max(1, n // 8), _requantize, (n,))
 
 
 @register_custom_parser("net.requantize")

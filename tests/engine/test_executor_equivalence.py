@@ -2,16 +2,23 @@
 
 The hypothesis sweep in ``tests/properties/test_engine_props.py`` covers
 generated programs; these pin down hand-written shapes (loops, branches,
-accelerator protocol, fallback) with exact observables.
+accelerator protocol, ops that trap, lowered MLPs) with exact observables.
 """
 
 import pytest
 
-from repro.engine import run_module_traced
+from repro.engine import (
+    PersistentStore,
+    TraceExecutor,
+    compile_module,
+    run_module_traced,
+)
 from repro.interp import run_module
 from repro.ir import parse_module
+from repro.passes import ConvertLinalgToAccfgPass, pipeline_by_name
 from repro.sim import CoSimulator
 from repro.testing.oracles import _engine_divergences
+from repro.workloads.network import build_mlp
 
 
 def assert_engines_agree(text: str, args: list[int] | None = None):
@@ -20,7 +27,7 @@ def assert_engines_agree(text: str, args: list[int] | None = None):
     tree_results = run_module(parse_module(text), tree_sim, args=list(args))[0]
     trace_sim = CoSimulator(functional=False)
     trace_results, _ = run_module_traced(
-        parse_module(text), trace_sim, args=list(args), cache=False, fallback=False
+        parse_module(text), trace_sim, args=list(args), cache=False
     )
     problems = _engine_divergences(
         trace_results,
@@ -116,32 +123,67 @@ class TestEquivalence:
             run_module(parse_module(text), CoSimulator(functional=False))
         with pytest.raises(InterpreterError, match="double await") as trace_error:
             run_module_traced(
-                parse_module(text),
-                CoSimulator(functional=False),
-                cache=False,
-                fallback=False,
+                parse_module(text), CoSimulator(functional=False), cache=False
             )
         assert str(trace_error.value) == str(tree_error.value)
 
 
-class TestFallback:
-    UNKNOWN_OP = """
-    func.func @main() -> (i64) {
-      %v = "mystery.op"() : () -> (i64)
-      func.return %v : i64
-    }
-    """
+class TestTrap:
+    def test_unknown_op_in_an_untaken_arm_runs(self):
+        # An op with no semantics compiles to a trap that fires only when
+        # reached, so the module runs, with the tree interpreter's result.
+        results = assert_engines_agree(
+            """
+            func.func @main(%flag : i64) -> (i64) {
+              %zero = arith.constant 0 : i64
+              %cond = arith.cmpi ne, %flag, %zero : i64
+              %r = scf.if %cond -> (i64) {
+                %v = "mystery.op"() : () -> (i64)
+                scf.yield %v : i64
+              } else {
+                scf.yield %zero : i64
+              }
+              func.return %r : i64
+            }
+            """,
+            args=[0],
+        )
+        assert results == [0]
 
-    def test_fallback_reaches_the_tree_interpreter(self):
-        # Whether the compiler rejects the unknown op (TraceCompileError →
-        # tree fallback) or compiles it to a foreign stub, the observable
-        # failure must be the tree interpreter's, not a compiler crash.
-        from repro.interp.interpreter import InterpreterError
 
-        with pytest.raises(InterpreterError):
-            run_module_traced(
-                parse_module(self.UNKNOWN_OP),
-                CoSimulator(functional=False),
-                cache=False,
-                fallback=True,
-            )
+def lowered_mlp(layers, pipeline: str, seed: int):
+    workload = build_mlp(layers, batch=8, seed=seed)
+    ConvertLinalgToAccfgPass().apply(workload.module)
+    pipeline_by_name(pipeline).run(workload.module)
+    return workload
+
+
+class TestMlp:
+    """Lowered MLPs carry ``net.requantize`` host ops between layers."""
+
+    @pytest.mark.parametrize("layers", [[16, 32, 16], [16, 24, 32, 8]])
+    @pytest.mark.parametrize("pipeline", ["baseline", "dedup", "overlap", "full"])
+    def test_trace_matches_tree(self, layers, pipeline, tmp_path):
+        tree = lowered_mlp(layers, pipeline, seed=len(layers))
+        tree_sim = CoSimulator(memory=tree.memory)
+        tree_results = run_module(tree.module, tree_sim)[0]
+        assert tree.check()
+
+        # The compiled module goes through the disk tier and back, so the
+        # requantize data move must survive a pickle round trip.
+        trace = lowered_mlp(layers, pipeline, seed=len(layers))
+        store = PersistentStore(str(tmp_path))
+        store.save_trace("mlp", compile_module(trace.module))
+        compiled = store.load_trace("mlp")
+        assert compiled is not None
+        trace_sim = CoSimulator(memory=trace.memory)
+        trace_results = TraceExecutor(compiled, trace_sim).run()
+        problems = _engine_divergences(
+            trace_results,
+            trace_sim,
+            trace.memory,
+            tree_results,
+            tree_sim,
+            tree.memory,
+        )
+        assert not problems, "; ".join(problems)

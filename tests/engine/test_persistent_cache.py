@@ -114,19 +114,21 @@ class TestCorruptionTolerance:
 
     def test_version_1_trace_is_schema_skew(self, tmp_path):
         # Version 1 stored setups and launches without their site numbers;
-        # such an entry must never reach a faulted run.
-        store = PersistentStore(str(tmp_path))
-        entry = {
-            "schema": "repro-cache/1",
-            "kind": "trace",
-            "key": "k",
-            "payload": compile_module(parse_module(PROGRAM)),
-        }
-        with open(entry_path(store, "trace", "k"), "wb") as handle:
-            pickle.dump(entry, handle)
-        assert SCHEMA != "repro-cache/1"
-        assert store.load_trace("k") is None
-        assert (store.hits, store.rejected) == (0, 1)
+        # such an entry must never reach a faulted run.  Version 2 stored
+        # flat protocol tuples, which today's executor cannot unpack.
+        for old in ("repro-cache/1", "repro-cache/2"):
+            store = PersistentStore(str(tmp_path / old.replace("/", "-")))
+            entry = {
+                "schema": old,
+                "kind": "trace",
+                "key": "k",
+                "payload": compile_module(parse_module(PROGRAM)),
+            }
+            with open(entry_path(store, "trace", "k"), "wb") as handle:
+                pickle.dump(entry, handle)
+            assert SCHEMA != old
+            assert store.load_trace("k") is None
+            assert (store.hits, store.rejected) == (0, 1)
 
     def test_foreign_kind_or_key_is_a_miss(self, tmp_path):
         store = PersistentStore(str(tmp_path))

@@ -10,8 +10,9 @@ from repro.ir import IntegerAttr, i64, parse_module, structural_key
 from repro.ir.block import Block, Region
 from repro.ir.operation import Operation
 from repro.ir.ssa import SSAValue
-from repro.passes import PIPELINES, pipeline_by_name
+from repro.passes import PIPELINES, ConvertLinalgToAccfgPass, pipeline_by_name
 from repro.testing.generator import PROFILES, build_spec, generate_spec
+from repro.workloads.network import build_mlp
 
 PROGRAM = """
 func.func @main(%x : i64) -> (i64) {
@@ -141,10 +142,19 @@ def generated_modules():
                 yield built.module
 
 
+def lowered_mlp():
+    """An MLP module: its ``net.requantize`` ops compile to host records."""
+    workload = build_mlp([16, 32, 16, 8])
+    ConvertLinalgToAccfgPass().apply(workload.module)
+    pipeline_by_name("full").run(workload.module)
+    return workload.module
+
+
 class TestHoldsNoIR:
     def test_entries_reach_no_ir(self):
         cache = TraceCache(maxsize=1024)
-        for index, module in enumerate(generated_modules()):
+        modules = [*generated_modules(), lowered_mlp()]
+        for index, module in enumerate(modules):
             key = structural_key(module) if index % 2 else None
             cache.get_or_compile(module, key=key)
         assert len(cache) > 10

@@ -1,17 +1,60 @@
-"""Tests for runtime error propagation through the interpreter stack."""
+"""Tests for runtime error propagation through both execution engines.
+
+Every case runs on the tree interpreter and on the trace engine: both must
+raise the same error with the same message, or agree bit for bit.
+"""
 
 import pytest
 
+from repro.engine import TraceExecutor, compile_module
 from repro.interp import InterpreterError, run_module
 from repro.ir import parse_module
 from repro.sim import CoSimulator
 from repro.sim.memory import MemoryError_
+from repro.testing.oracles import _engine_divergences
+
+
+def run_traced(module, sim, args):
+    return TraceExecutor(compile_module(module), sim).run("main", args)
+
+
+def run_tree(module, sim, args):
+    return run_module(module, sim, args=args)[0]
+
+
+def run_both(build, args=(), functional: bool = True):
+    """Run the module ``build()`` returns on both engines, each on a fresh
+    module and simulator; returns the tree's results or raises its error
+    once the trace engine is checked to match."""
+    outcomes = []
+    for engine in (run_tree, run_traced):
+        sim = CoSimulator(functional=functional)
+        try:
+            outcomes.append((engine(build(), sim, list(args)), sim))
+        except Exception as error:  # noqa: BLE001 - compared below
+            outcomes.append(error)
+    tree, trace = outcomes
+    if isinstance(tree, Exception):
+        assert type(trace) is type(tree), (tree, trace)
+        assert str(trace) == str(tree)
+        raise tree
+    assert not isinstance(trace, Exception), trace
+    (tree_results, tree_sim), (trace_results, trace_sim) = tree, trace
+    problems = _engine_divergences(
+        trace_results,
+        trace_sim,
+        trace_sim.memory,
+        tree_results,
+        tree_sim,
+        tree_sim.memory,
+    )
+    assert not problems, "; ".join(problems)
+    return tree_results, tree_sim
 
 
 def run_timing(text: str, filename: str = "prog.mlir"):
-    """Interpret in timing-only mode (no memory image needed)."""
-    module = parse_module(text, filename)
-    return run_module(module, CoSimulator(functional=False))
+    """Run in timing-only mode (no memory image needed)."""
+    return run_both(lambda: parse_module(text, filename), functional=False)
 
 
 class TestArithmeticTraps:
@@ -26,7 +69,7 @@ class TestArithmeticTraps:
             """
         )
         with pytest.raises(ZeroDivisionError):
-            run_module(module, args=[5])
+            run_both(module.clone, args=[5])
 
     def test_remainder_by_zero_surfaces(self):
         module = parse_module(
@@ -39,7 +82,7 @@ class TestArithmeticTraps:
             """
         )
         with pytest.raises(ZeroDivisionError):
-            run_module(module, args=[5])
+            run_both(module.clone, args=[5])
 
 
 class TestMemoryFaults:
@@ -57,7 +100,7 @@ class TestMemoryFaults:
             """
         )
         with pytest.raises(MemoryError_):
-            run_module(module)
+            run_both(module.clone)
 
     def test_timing_only_mode_skips_memory_faults(self):
         """functional=False runs pure timing: bad addresses never touch the
@@ -74,8 +117,7 @@ class TestMemoryFaults:
             }
             """
         )
-        sim = CoSimulator(functional=False)
-        run_module(module, sim)
+        _, sim = run_both(module.clone, functional=False)
         assert sim.device("toyvec").launch_count == 1
 
 
@@ -109,7 +151,7 @@ class TestUnseenOpDiagnostics:
             """
         )
         with pytest.raises(InterpreterError, match=r"at <input>:\d+:\d+"):
-            run_module(module, CoSimulator(functional=False))
+            run_both(module.clone, functional=False)
 
     def test_programmatic_ir_errors_without_location_suffix(self):
         """Ops built via the API have no loc; the message must not carry a
@@ -119,12 +161,14 @@ class TestUnseenOpDiagnostics:
         from repro.ir.attributes import FunctionType
         from repro.ir.operation import UnregisteredOp
 
-        fn = func_dialect.FuncOp.create("main", FunctionType((), ()))
-        fn.body.add_op(UnregisteredOp("mystery.op"))
-        fn.body.add_op(func_dialect.ReturnOp.create())
-        module = ModuleOp.create([fn])
+        def build():
+            fn = func_dialect.FuncOp.create("main", FunctionType((), ()))
+            fn.body.add_op(UnregisteredOp("mystery.op"))
+            fn.body.add_op(func_dialect.ReturnOp.create())
+            return ModuleOp.create([fn])
+
         with pytest.raises(InterpreterError) as excinfo:
-            run_module(module, CoSimulator(functional=False))
+            run_both(build, functional=False)
         assert " at " not in str(excinfo.value)
 
 
@@ -228,32 +272,37 @@ class TestAccfgProtocolErrors:
             )
 
     def test_launch_on_unregistered_accelerator_at_runtime(self):
-        module = parse_module(
-            """
-            func.func @main() -> () {
-              %n = arith.constant 4 : i64
-              %s = accfg.setup on "toyvec" ("n" = %n : i64) : !accfg.state<"toyvec">
-              %t = accfg.launch %s : !accfg.token<"toyvec">
-              func.return
-            }
-            """
-        )
-        # Retarget the launch behind the registry's back: the launch reads
-        # its accelerator from the state *type*, while the setup keeps its
-        # own name attribute (models a buggy cross-accelerator rewrite).
         from repro.dialects import accfg
 
-        launch = next(
-            op for op in module.walk() if isinstance(op, accfg.LaunchOp)
-        )
-        launch.state.type = accfg.StateType("warpcore")
+        def build():
+            module = parse_module(
+                """
+                func.func @main() -> () {
+                  %n = arith.constant 4 : i64
+                  %s = accfg.setup on "toyvec" ("n" = %n : i64) : !accfg.state<"toyvec">
+                  %t = accfg.launch %s : !accfg.token<"toyvec">
+                  func.return
+                }
+                """
+            )
+            # Retarget the launch behind the registry's back: the launch
+            # reads its accelerator from the state *type*, while the setup
+            # keeps its own name attribute (models a buggy cross-accelerator
+            # rewrite).
+            launch = next(
+                op for op in module.walk() if isinstance(op, accfg.LaunchOp)
+            )
+            launch.state.type = accfg.StateType("warpcore")
+            return module
+
         with pytest.raises(
             InterpreterError, match="launch on unknown accelerator 'warpcore'"
         ):
-            run_module(module, CoSimulator(functional=False))
+            run_both(build, functional=False)
 
     def test_await_of_non_token_value(self):
-        """The await operand must hold a runtime token."""
+        """The await operand must hold a runtime token.  The verifier
+        rejects this IR, so only the tree interpreter is held to it."""
         module = parse_module(
             """
             func.func @main() -> () {
@@ -292,10 +341,8 @@ class TestRecursionGuard:
             }
             """
         )
-        from repro.interp import InterpreterError
-
         with pytest.raises(InterpreterError, match="call depth"):
-            run_module(module, args=[1])
+            run_both(module.clone, args=[1])
 
     def test_deep_but_bounded_calls_fine(self):
         module = parse_module(
@@ -313,5 +360,5 @@ class TestRecursionGuard:
             }
             """
         )
-        results, _ = run_module(module, args=[7])
+        results, _ = run_both(module.clone, args=[7])
         assert results == [7]

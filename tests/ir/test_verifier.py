@@ -128,3 +128,35 @@ class TestOpSpecificVerification:
         c.result.remove_use(Use(add, 0))
         with pytest.raises(VerifyError, match="def-use"):
             verify_operation(module)
+
+    def test_requantize_addresses_must_be_integers(self):
+        import repro.workloads.network  # noqa: F401 - registers net.requantize
+
+        module = parse_module(
+            """
+            func.func @f() -> () {
+              %n = arith.constant 4 : i64
+              %s = accfg.setup on "toyvec" ("n" = %n : i64) : !accfg.state<"toyvec">
+              net.requantize %s -> %n n(8)
+              func.return
+            }
+            """
+        )
+        with pytest.raises(VerifyError, match="addresses must be integers"):
+            verify_operation(module)
+
+    def test_requantize_accepts_integer_and_index_addresses(self):
+        import repro.workloads.network  # noqa: F401 - registers net.requantize
+
+        verify_operation(
+            parse_module(
+                """
+                func.func @f() -> () {
+                  %a = arith.constant 64 : i64
+                  %b = arith.constant 128 : index
+                  net.requantize %a -> %b n(8)
+                  func.return
+                }
+                """
+            )
+        )

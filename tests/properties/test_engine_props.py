@@ -8,7 +8,7 @@ and final memory images must all match exactly.
 
 from hypothesis import HealthCheck, given, settings
 
-from repro.engine import TraceCompileError, compile_module, TraceExecutor
+from repro.engine import compile_module, TraceExecutor
 from repro.interp import run_module
 from repro.ir import verify_operation
 from repro.passes import pipeline_by_name
@@ -24,8 +24,7 @@ RELAXED = settings(
 
 
 def run_both(program, pipeline: str):
-    """(tree run, trace run) of one optimized build — or None if the trace
-    compiler rejects the module (the oracle falls back to the tree there)."""
+    """(tree run, trace run) of one optimized build."""
     tree_built = build(program)
     pipeline_by_name(pipeline).run(tree_built.module)
     verify_operation(tree_built.module)
@@ -36,10 +35,7 @@ def run_both(program, pipeline: str):
     trace_built = build(program)
     pipeline_by_name(pipeline).run(trace_built.module)
     verify_operation(trace_built.module)
-    try:
-        compiled = compile_module(trace_built.module)
-    except TraceCompileError:
-        return None
+    compiled = compile_module(trace_built.module)
     trace_sim = CoSimulator(memory=trace_built.memory)
     trace_results = TraceExecutor(compiled, trace_sim).run("main", list(args))
 
@@ -55,8 +51,6 @@ def run_both(program, pipeline: str):
 
 def assert_bit_identical(program, pipeline: str):
     runs = run_both(program, pipeline)
-    if runs is None:
-        return
     tree_results, tree_sim, tree_mem, trace_results, trace_sim, trace_mem = runs
     problems = _engine_divergences(
         trace_results, trace_sim, trace_mem, tree_results, tree_sim, tree_mem
