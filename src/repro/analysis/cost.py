@@ -21,6 +21,11 @@ The cost domain is three-layered:
 * :class:`CostVector` — per ``(accelerator, category)`` instruction-count
   ranges plus configuration bytes, launch counts, and static datapath ops.
 
+Most of a program needs none of this: straight-line runs, constant-trip
+loops and the join of two such branch arms are counted as plain ints
+(``_Tally``), and ranges are built only around symbolic trip counts, calls
+and unmodeled ops, with the same results.
+
 Every setup/launch/await/reset contributes a :class:`CostSite` carrying
 provenance: the op, its instruction stream, its enclosing loops and trip
 counts, and whether it executes conditionally.  Sites power the opportunity
@@ -36,7 +41,7 @@ equal) what the simulator measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, TypeVar
 
 from ..dialects import accfg, arith, func, scf
 from ..ir.operation import Operation, UnregisteredOp
@@ -301,7 +306,6 @@ def _substitute_bound(
 
 
 _ZERO_RANGE = CostRange()
-_ONE_RANGE = CostRange.exact(1)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +362,9 @@ class CostVector:
     @staticmethod
     def for_instrs(instrs: Iterable[Instr]) -> "CostVector":
         """The cost of executing one instruction stream once."""
-        counts = _Counts()
-        counts.add(instrs)
-        return counts.vector()
+        tally = _Tally()
+        tally.add(_price(instrs))
+        return tally.vector()
 
     @staticmethod
     def unmodeled_op(name: str) -> "CostVector":
@@ -371,10 +375,11 @@ class CostVector:
     def iadd(self, other: "CostVector") -> None:
         """In-place pointwise sum into a privately-owned accumulator.
 
-        ``block_cost`` folds one vector per op; rebuilding the merged maps
-        per op (as ``__add__`` must) makes that fold quadratic in block
-        length.  The accumulator is freshly created by its caller and never
-        shared, so mutating it is safe; ``other`` is only read.
+        ``walk_block`` folds one vector per ranged op into its block's
+        total; rebuilding the merged maps per op (as ``__add__`` must)
+        makes that fold quadratic in block length.  The accumulator is
+        freshly created by its caller and never shared, so mutating it is
+        safe; ``other`` is only read.
         """
         _iadd_map(self.instrs, other.instrs)
         _iadd_map(self.config_bytes, other.config_bytes)
@@ -473,38 +478,70 @@ class CostVector:
         return all(value.is_exact for value in values) and not self.unmodeled
 
 
-class _Counts:
-    """Plain-int tallies of straight-line charges.
+#: An instruction stream tallied once per walk: its ``(key, count)`` pairs
+#: and its ``(config-byte bucket, bytes)`` pairs, both in first-charge
+#: order, and its total configuration bytes.
+_Priced = tuple[
+    tuple[tuple[InstrKey, int], ...], tuple[tuple["str | None", int], ...], int
+]
 
-    ``block_cost`` adds a whole run of straight-line ops here and turns the
-    tallies into ranges once (:meth:`flush_into`), instead of building and
-    summing one :class:`CostVector` per op.  The dicts keep first-charge
-    order, so keys reach the total in the order the op-by-op fold gives.
+
+def _price(instrs: Iterable[Instr]) -> _Priced:
+    """Tally one instruction stream by key and by config-byte bucket."""
+    counts: dict[InstrKey, int] = {}
+    buckets: dict["str | None", int] = {}
+    total_bytes = 0
+    for instr in instrs:
+        key = (instr.accelerator, instr.category)
+        counts[key] = counts.get(key, 0) + 1
+        if instr.config_bytes:
+            total_bytes += instr.config_bytes
+            bucket = instr.accelerator
+            buckets[bucket] = buckets.get(bucket, 0) + instr.config_bytes
+    return tuple(counts.items()), tuple(buckets.items()), total_bytes
+
+
+class _Tally:
+    """Exact integer ``[lo, hi]`` tallies of one region's charges.
+
+    The walk adds straight-line ops, constant-trip loops and the join of
+    two tallied ``scf.if`` arms here as plain ints.  It builds
+    :class:`CostRange` values (:meth:`flush_into`) only when a region
+    meets what a tally cannot hold (a symbolic trip count, a call, an
+    unmodeled op) and when a summary's ``total`` is first read.  Each
+    table maps a key to its lower bound; ``gaps`` holds ``hi - lo`` for
+    the entries a join left inexact.  Tables keep first-charge order, and
+    an entry that scales or joins to zero is dropped exactly where
+    :meth:`CostVector.scale` and :meth:`CostVector.join` drop it, so keys
+    reach the total in the order the :class:`CostVector` fold gives.
     """
 
-    __slots__ = ("instrs", "config_bytes", "launches", "ops", "indeterminate")
+    __slots__ = (
+        "instrs", "config_bytes", "launches", "ops", "gaps", "indeterminate"
+    )
 
     def __init__(self) -> None:
         self.instrs: dict[InstrKey, int] = {}
         self.config_bytes: dict["str | None", int] = {}
         self.launches: dict[str, int] = {}
         self.ops: dict[str, int] = {}
+        #: per table, ``hi - lo`` of its inexact entries (None: all exact)
+        self.gaps: tuple[dict[Any, int], ...] | None = None
         self.indeterminate: set[str] = set()
 
-    def add(self, instrs: Iterable[Instr]) -> int:
-        """Tally one instruction stream; returns its configuration bytes."""
-        counts = self.instrs
-        stream_bytes = 0
-        for instr in instrs:
-            key = (instr.accelerator, instr.category)
-            counts[key] = counts.get(key, 0) + 1
-            if instr.config_bytes:
-                stream_bytes += instr.config_bytes
-                bucket = instr.accelerator
-                self.config_bytes[bucket] = (
-                    self.config_bytes.get(bucket, 0) + instr.config_bytes
-                )
-        return stream_bytes
+    def tables(self) -> tuple[dict[Any, int], ...]:
+        return (self.instrs, self.config_bytes, self.launches, self.ops)
+
+    def add(self, priced: _Priced) -> int:
+        """Tally one priced stream; returns its configuration bytes."""
+        instrs = self.instrs
+        for key, count in priced[0]:
+            instrs[key] = instrs.get(key, 0) + count
+        if priced[1]:
+            config_bytes = self.config_bytes
+            for bucket, count in priced[1]:
+                config_bytes[bucket] = config_bytes.get(bucket, 0) + count
+        return priced[2]
 
     def add_launch(self, accelerator: str, static_ops: int | None) -> None:
         self.launches[accelerator] = self.launches.get(accelerator, 0) + 1
@@ -513,21 +550,77 @@ class _Counts:
         else:
             self.ops[accelerator] = self.ops.get(accelerator, 0) + static_ops
 
-    def flush_into(self, total: CostVector) -> None:
-        """Add the tallies to ``total`` as exact ranges, then reset them."""
-        for source, target in (
-            (self.instrs, total.instrs),
-            (self.config_bytes, total.config_bytes),
-            (self.launches, total.launches),
-            (self.ops, total.ops),
+    def _widen(self, index: int, key: Any, gap: int) -> None:
+        gaps = self.gaps
+        if gaps is None:
+            gaps = self.gaps = ({}, {}, {}, {})
+        table = gaps[index]
+        table[key] = table.get(key, 0) + gap
+
+    def add_scaled(self, body: "_Tally", trips: int) -> None:
+        """Add ``body`` executed ``trips`` times (a constant-trip loop)."""
+        self.indeterminate |= body.indeterminate
+        if not trips:
+            return  # every entry scales to zero
+        body_gaps = body.gaps
+        for index, (target, source) in enumerate(
+            zip(self.tables(), body.tables())
         ):
+            gaps = body_gaps[index] if body_gaps is not None else None
+            for key, lo in source.items():
+                gap = gaps.get(key, 0) if gaps else 0
+                if lo or gap:
+                    target[key] = target.get(key, 0) + lo * trips
+                    if gap:
+                        self._widen(index, key, gap * trips)
+
+    def add_join(self, first: "_Tally", second: "_Tally") -> None:
+        """Add the hull of two branch arms: per key ``[min lo, max hi]``."""
+        self.indeterminate |= first.indeterminate | second.indeterminate
+        first_gaps, second_gaps = first.gaps, second.gaps
+        for index, (target, a, b) in enumerate(
+            zip(self.tables(), first.tables(), second.tables())
+        ):
+            if not a and not b:
+                continue
+            a_gaps = first_gaps[index] if first_gaps is not None else None
+            b_gaps = second_gaps[index] if second_gaps is not None else None
+            # The key order CostVector.join visits.
+            for key in set(a) | set(b):
+                a_lo = a.get(key, 0)
+                b_lo = b.get(key, 0)
+                a_hi = a_lo + a_gaps.get(key, 0) if a_gaps else a_lo
+                b_hi = b_lo + b_gaps.get(key, 0) if b_gaps else b_lo
+                hi = max(a_hi, b_hi)
+                if not hi:
+                    continue  # the hull of two zeros
+                lo = min(a_lo, b_lo)
+                target[key] = target.get(key, 0) + lo
+                if hi > lo:
+                    self._widen(index, key, hi - lo)
+
+    def flush_into(self, total: CostVector) -> None:
+        """Add the tallies to ``total`` as ranges, then reset them."""
+        gaps = self.gaps
+        targets: tuple[dict[Any, CostRange], ...] = (
+            total.instrs, total.config_bytes, total.launches, total.ops
+        )
+        for index, (source, target) in enumerate(zip(self.tables(), targets)):
             if not source:
                 continue
-            for key, count in source.items():
-                value = CostRange.exact(count)
+            source_gaps = gaps[index] if gaps is not None else None
+            for key, lo in source.items():
+                expr = SymExpr((((), lo),)) if lo > 0 else SymExpr.const(lo)
+                gap = source_gaps.get(key) if source_gaps else None
+                value = (
+                    CostRange(expr, SymExpr((((), lo + gap),)))
+                    if gap
+                    else CostRange(expr, expr)
+                )
                 current = target.get(key)
                 target[key] = value if current is None else current + value
             source.clear()
+        self.gaps = None
         if self.indeterminate:
             total.indeterminate_ops |= self.indeterminate
             self.indeterminate.clear()
@@ -536,6 +629,25 @@ class _Counts:
         vector = CostVector()
         self.flush_into(vector)
         return vector
+
+    def bounds(self) -> list[dict[Any, tuple[int, int | None]]]:
+        """The instruction, config-byte and launch tables as ``(lo, hi)``
+        pairs, in table order."""
+        gaps = self.gaps
+        result: list[dict[Any, tuple[int, int | None]]] = []
+        for index, table in enumerate(
+            (self.instrs, self.config_bytes, self.launches)
+        ):
+            table_gaps = gaps[index] if gaps is not None else None
+            result.append(
+                {
+                    key: (lo, lo + table_gaps.get(key, 0))
+                    for key, lo in table.items()
+                }
+                if table_gaps
+                else {key: (lo, lo) for key, lo in table.items()}
+            )
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -572,29 +684,77 @@ class CostSite:
         return self.loops[-1] if self.loops else None
 
 
-def enclosing_loops(op: Operation) -> tuple[scf.ForOp, ...]:
-    """The ``scf.for`` ops around ``op``, outermost first."""
-    loops: list[scf.ForOp] = []
-    current = op.parent_op
-    while current is not None:
-        if isinstance(current, scf.ForOp):
-            loops.append(current)
-        current = current.parent_op
-    return tuple(reversed(loops))
-
-
-def loop_depth(op: Operation) -> int:
-    """How many ``scf.for`` loops enclose ``op``."""
-    return len(enclosing_loops(op))
+#: The loops around a site, outermost first, and the product of their trip
+#: counts: a plain int while every one of them is constant.
+_Level = tuple[tuple[scf.ForOp, ...], "int | CostRange"]
+#: A site as the walk records it: op, kind, accelerator, instruction
+#: stream, config bytes, loop level, conditional, launch datapath ops.
+_SiteRecord = tuple[
+    Operation, str, str, tuple[Instr, ...], int, _Level, bool, "int | None"
+]
 
 
 @dataclass
 class FunctionCostSummary:
-    """The cost analysis result for one function."""
+    """The cost analysis result for one function.
+
+    The walk leaves a function whose cost is all exact ints (or their
+    hulls) as a tally, and records each site as a plain tuple; ``total``
+    and :attr:`sites` build the range and :class:`CostSite` objects on
+    first read.  The static-cost oracle reads neither: it evaluates the
+    counts (:meth:`evaluate`).  The lints, ``repro cost`` and the tuner
+    read both.
+    """
 
     function: func.FuncOp
-    total: CostVector
-    sites: tuple[CostSite, ...]
+    cost: "_Tally | CostVector" = field(repr=False, compare=False)
+    site_records: list[_SiteRecord] = field(repr=False, compare=False)
+    _sites: tuple[CostSite, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def total(self) -> CostVector:
+        cost = self.cost
+        if isinstance(cost, _Tally):
+            cost = self.cost = cost.vector()
+        return cost
+
+    def evaluate(
+        self, bindings: Mapping[str, int]
+    ) -> list[dict[Any, tuple[int, int | None]]]:
+        """The predicted ``(lo, hi)`` of every instruction, config-byte and
+        launch count under concrete parameter ``bindings``, in ``total``'s
+        key order (``hi`` None = unbounded)."""
+        cost = self.cost
+        if isinstance(cost, _Tally):
+            return cost.bounds()
+        return [
+            {key: count.evaluate(bindings) for key, count in table.items()}
+            for table in (cost.instrs, cost.config_bytes, cost.launches)
+        ]
+
+    @property
+    def sites(self) -> tuple[CostSite, ...]:
+        if self._sites is None:
+            self._sites = tuple(
+                CostSite(
+                    op=op,
+                    kind=kind,
+                    accelerator=accelerator,
+                    instrs=instrs,
+                    config_bytes=config_bytes,
+                    trip_count=_as_range(trips),
+                    loops=loops,
+                    conditional=conditional,
+                    ops=ops,
+                )
+                for (
+                    op, kind, accelerator, instrs, config_bytes,
+                    (loops, trips), conditional, ops,
+                ) in self.site_records
+            )
+        return self._sites
 
     @property
     def name(self) -> str:
@@ -602,7 +762,8 @@ class FunctionCostSummary:
 
     @property
     def is_modeled(self) -> bool:
-        return not self.total.unmodeled
+        # Unmodeled ops end a tally, so only a vector can name one.
+        return isinstance(self.cost, _Tally) or not self.cost.unmodeled
 
     def parameters(self) -> list[str]:
         names: set[str] = set()
@@ -664,9 +825,13 @@ class CostAnalysis:
 
         self.module = module
         self._functions: dict[str, func.FuncOp] = {}
-        for op in module.walk_list():
-            if isinstance(op, func.FuncOp):
-                self._functions.setdefault(op.sym_name, op)
+        # Functions are the module's top-level ops (func.func verifies
+        # nowhere else), as the trace compiler collects them.
+        for region in module.regions:
+            for block in region.blocks:
+                for op in block.ops:
+                    if isinstance(op, func.FuncOp):
+                        self._functions.setdefault(op.sym_name, op)
         self._feeding = config_feeding_ops(module)
         self._summaries: dict[str, FunctionCostSummary] = {}
         self._in_progress: set[str] = set()
@@ -690,12 +855,10 @@ class CostAnalysis:
         self._in_progress.add(name)
         try:
             walker = _FunctionWalker(self, fn)
-            total = walker.block_cost(fn.body)
-            summary = FunctionCostSummary(
-                function=fn, total=total, sites=tuple(walker.sites)
-            )
+            cost = walker.walk_block(fn.body)
         finally:
             self._in_progress.discard(name)
+        summary = FunctionCostSummary(fn, cost, walker.sites)
         self._summaries[name] = summary
         return summary
 
@@ -708,14 +871,34 @@ class CostAnalysis:
         return result
 
 
+def _as_range(trips: "int | CostRange") -> CostRange:
+    return trips if isinstance(trips, CostRange) else CostRange.exact(trips)
+
+
+def _as_vector(cost: "_Tally | CostVector") -> CostVector:
+    return cost.vector() if isinstance(cost, _Tally) else cost
+
+
 _SCALAR_OPS = (arith.ConstantOp, arith.BinaryOp, arith.CmpiOp, arith.SelectOp)
 #: what one scalar op charges: a config-feeding one calc, any other compute
-_CALC_STREAM = (Instr("alu", InstrCategory.CALC),)
-_COMPUTE_STREAM = (Instr("alu", InstrCategory.COMPUTE),)
+_CALC = _price((Instr("alu", InstrCategory.CALC),))
+_COMPUTE = _price((Instr("alu", InstrCategory.COMPUTE),))
 #: a branch or a reset; a loop back-edge (increment + compare&branch) or a
 #: call (call + return jumps)
 _CTRL_STREAM = (CTRL_INSTR,)
 _CTRL_PAIR_STREAM = (CTRL_INSTR, CTRL_INSTR)
+_CTRL = _price(_CTRL_STREAM)
+_CTRL_PAIR = _price(_CTRL_PAIR_STREAM)
+
+
+class _Specs(dict[str, "AcceleratorSpec | None"]):
+    """Accelerator specs by name (None when unknown), each looked up once."""
+
+    def __missing__(self, name: str) -> "AcceleratorSpec | None":
+        from ..backends.base import get_accelerator_or_none
+
+        spec = self[name] = get_accelerator_or_none(name)
+        return spec
 
 
 class _FunctionWalker:
@@ -725,31 +908,26 @@ class _FunctionWalker:
     def __init__(self, analysis: CostAnalysis, fn: func.FuncOp) -> None:
         self.analysis = analysis
         self.fn = fn
-        self.sites: list[CostSite] = []
-        self._loops: list[scf.ForOp] = []
-        self._trip_stack: list[CostRange] = []
+        self.sites: list[_SiteRecord] = []
+        self._feeding = analysis._feeding
+        self._level: _Level = ((), 1)
         self._cond_depth = 0
         self._params: dict[SSAValue, str] = {
             arg: f"arg{i}" for i, arg in enumerate(fn.args)
         }
-        self._specs: dict[str, AcceleratorSpec | None] = {}
+        # Memos for this walk only.  Streams are priced by identity; each
+        # entry keeps its stream alive, so no id is reused within the walk.
+        self._specs = _Specs()
+        self._prices: dict[int, tuple[tuple[Instr, ...], _Priced]] = {}
 
     # -- helpers ---------------------------------------------------------
 
-    def _spec(self, accelerator: str) -> "AcceleratorSpec | None":
-        """The accelerator's spec (None when unknown), looked up once."""
-        specs = self._specs
-        if accelerator not in specs:
-            from ..backends.base import get_accelerator_or_none
-
-            specs[accelerator] = get_accelerator_or_none(accelerator)
-        return specs[accelerator]
-
-    def _site_trips(self) -> CostRange:
-        trips = _ONE_RANGE
-        for loop_trips in self._trip_stack:
-            trips = trips.times(loop_trips)
-        return trips
+    def _priced(self, stream: tuple[Instr, ...]) -> _Priced:
+        """``stream`` tallied by key, once per walk."""
+        entry = self._prices.get(id(stream))
+        if entry is None:
+            entry = self._prices[id(stream)] = (stream, _price(stream))
+        return entry[1]
 
     def _record_site(
         self,
@@ -757,33 +935,26 @@ class _FunctionWalker:
         kind: str,
         accelerator: str,
         instrs: tuple[Instr, ...],
-        config_bytes: int,
+        tally: _Tally,
         ops: int | None = None,
     ) -> None:
+        """Tally the op's instruction stream and record its site."""
+        config_bytes = tally.add(self._priced(instrs))
         self.sites.append(
-            CostSite(
-                op=op,
-                kind=kind,
-                accelerator=accelerator,
-                instrs=instrs,
-                config_bytes=config_bytes,
-                trip_count=self._site_trips(),
-                loops=tuple(self._loops),
-                conditional=self._cond_depth > 0,
-                ops=ops,
+            (
+                op, kind, accelerator, instrs, config_bytes,
+                self._level, self._cond_depth > 0, ops,
             )
         )
 
     def trip_range(self, op: scf.ForOp) -> CostRange:
         """The symbolic iteration count of one ``scf.for``."""
-        lb = arith.constant_value(op.lb)
-        ub = arith.constant_value(op.ub)
-        step = arith.constant_value(op.step)
-        if lb is not None and ub is not None and step is not None and step > 0:
-            return CostRange.exact(max(0, -((lb - ub) // step)))
+        trips = scf.constant_trip_count(op)
+        if trips is not None:
+            return CostRange.exact(trips)
         if (
-            lb == 0
-            and step == 1
+            arith.constant_value(op.lb) == 0
+            and arith.constant_value(op.step) == 1
             and isinstance(op.ub, BlockArgument)
             and self._params.get(op.ub) is not None
         ):
@@ -794,124 +965,110 @@ class _FunctionWalker:
 
     # -- the walk --------------------------------------------------------
 
-    def block_cost(self, block: "Block") -> CostVector:
-        """The sum of :meth:`op_cost` over ``block``'s ops.
+    def walk_block(self, block: "Block") -> "_Tally | CostVector":
+        """The cost of ``block``: a tally while every op in it prices as
+        ints, else a vector.
 
-        Each run of straight-line ops is tallied as plain ints and added to
-        the total before the next other op and at the block end, so keys
-        enter the total in the same order as in the op-by-op fold.
+        Each op goes to the charging rule of its class.  An op that needs
+        ranges (see :meth:`_nested_cost`) flushes the tally into the
+        vector before its own cost is added, so keys enter the total in
+        the same order as in the op-by-op fold.
         """
-        total = CostVector()
-        counts = _Counts()
-        charge = self._charge
+        tally = _Tally()
+        total: CostVector | None = None
+        rules = _CHARGE_RULES
         for op in block.ops:
-            if not charge(op, counts):
-                counts.flush_into(total)
-                total.iadd(self.op_cost(op))
-        counts.flush_into(total)
+            rule = rules[type(op)]
+            if rule is not None and rule(self, op, tally):
+                continue
+            vector = self._nested_cost(op, tally)
+            if vector is None:
+                continue
+            if total is None:
+                total = CostVector()
+            tally.flush_into(total)
+            total.iadd(vector)
+        if total is None:
+            return tally
+        tally.flush_into(total)
         return total
 
-    def _charge(self, op: Operation, counts: _Counts) -> bool:
-        """Tally a straight-line op's charges and record its site.
+    # -- charging rules: one per straight-line op class ------------------
+    #
+    # Straight-line ops are scalar, setup, launch, await, reset and
+    # host-side ops, plus the terminators, which charge nothing.  A rule
+    # tallies the op's charges and records its site; it returns False,
+    # tallying nothing, for an op on an unknown accelerator, which
+    # :meth:`_nested_cost` prices with every other op.
 
-        Straight-line ops are scalar, setup, launch, await, reset and
-        host-side ops, plus the terminators, which charge nothing.  Returns
-        False, tallying nothing, for any other op and for ops on unknown
-        accelerators: :meth:`op_cost` prices those.
-        """
-        if isinstance(op, _SCALAR_OPS):
-            feeding = op in self.analysis._feeding
-            counts.add(_CALC_STREAM if feeding else _COMPUTE_STREAM)
-            return True
-        if isinstance(op, (scf.YieldOp, func.ReturnOp)):
-            return True
-        if isinstance(op, accfg.SetupOp):
-            spec = self._spec(op.accelerator)
-            if spec is None:
-                return False
-            instrs = spec.setup_instrs_cached(tuple(op.field_names))
-            self._record_site(
-                op, "setup", op.accelerator, instrs, counts.add(instrs)
-            )
-            return True
-        if isinstance(op, accfg.LaunchOp):
-            spec = self._spec(op.accelerator)
-            if spec is None:
-                return False
-            instrs = spec.launch_instrs_cached()
-            field_names = tuple(name for name, _ in op.fields)
-            if field_names:
-                instrs = spec.launch_field_instrs_cached(field_names) + instrs
-            from .roofline_lint import static_launch_config
+    def _charge_scalar(self, op: Operation, tally: _Tally) -> bool:
+        tally.add(_CALC if op in self._feeding else _COMPUTE)
+        return True
 
-            static_ops = spec.static_launch_ops(static_launch_config(op))
-            self._record_site(
-                op,
-                "launch",
-                op.accelerator,
-                instrs,
-                counts.add(instrs),
-                ops=static_ops,
-            )
-            counts.add_launch(op.accelerator, static_ops)
-            return True
-        if isinstance(op, accfg.AwaitOp):
-            spec = self._spec(op.accelerator)
-            if spec is None:
-                return False
-            instrs = spec.sync_instrs_cached()
-            self._record_site(
-                op, "await", op.accelerator, instrs, counts.add(instrs)
-            )
-            return True
-        if isinstance(op, accfg.ResetOp):
-            state_type = op.state.type
-            accelerator = (
-                state_type.accelerator
-                if isinstance(state_type, accfg.StateType)
-                else "?"
-            )
-            self._record_site(
-                op, "reset", accelerator, _CTRL_STREAM, counts.add(_CTRL_STREAM)
-            )
-            return True
+    def _charge_nothing(self, op: Operation, tally: _Tally) -> bool:
+        return True
+
+    def _charge_setup(self, op: accfg.SetupOp, tally: _Tally) -> bool:
+        accelerator = op.accelerator
+        spec = self._specs[accelerator]
+        if spec is None:
+            return False
+        instrs = spec.setup_instrs_cached(op.field_names)
+        self._record_site(op, "setup", accelerator, instrs, tally)
+        return True
+
+    def _charge_launch(self, op: accfg.LaunchOp, tally: _Tally) -> bool:
+        accelerator = op.accelerator
+        spec = self._specs[accelerator]
+        if spec is None:
+            return False
+        instrs = spec.launch_instrs_cached()
+        field_names = op.field_names
+        if field_names:
+            instrs = spec.launch_field_instrs_cached(field_names) + instrs
+        from .roofline_lint import static_launch_config
+
+        static_ops = spec.static_launch_ops(static_launch_config(op))
+        self._record_site(op, "launch", accelerator, instrs, tally, static_ops)
+        tally.add_launch(accelerator, static_ops)
+        return True
+
+    def _charge_await(self, op: accfg.AwaitOp, tally: _Tally) -> bool:
+        accelerator = op.accelerator
+        spec = self._specs[accelerator]
+        if spec is None:
+            return False
+        instrs = spec.sync_instrs_cached()
+        self._record_site(op, "await", accelerator, instrs, tally)
+        return True
+
+    def _charge_reset(self, op: accfg.ResetOp, tally: _Tally) -> bool:
+        state_type = op.state.type
+        accelerator = (
+            state_type.accelerator
+            if isinstance(state_type, accfg.StateType)
+            else "?"
+        )
+        self._record_site(op, "reset", accelerator, _CTRL_STREAM, tally)
+        return True
+
+    def _charge_host(self, op: Operation, tally: _Tally) -> bool:
         # Host-side ops charge the stream their declared effect names, the
         # same one both execution engines charge.
         effect = accfg.host_effect(op)
-        if effect is not None:
-            counts.add(effect.stream)
-            return True
-        return False
+        if effect is None:
+            return False
+        tally.add(self._priced(effect.stream))
+        return True
 
-    def op_cost(self, op: Operation) -> CostVector:
-        counts = _Counts()
-        if self._charge(op, counts):
-            return counts.vector()
+    def _nested_cost(self, op: Operation, tally: _Tally) -> CostVector | None:
+        """Price an op no charging rule takes.  Adds the cost to
+        ``tally`` and returns None when it is exact ints or their hull;
+        returns it as a vector otherwise."""
         if isinstance(op, scf.ForOp):
-            trips = self.trip_range(op)
-            self._loops.append(op)
-            self._trip_stack.append(trips)
-            try:
-                body = self.block_cost(op.body)
-            finally:
-                self._loops.pop()
-                self._trip_stack.pop()
-            # Each iteration pays the back-edge's increment + compare&branch.
-            per_iteration = body + CostVector.for_instrs(_CTRL_PAIR_STREAM)
-            return per_iteration.scale(trips)
+            return self._loop_cost(op, tally)
         if isinstance(op, scf.IfOp):
-            self._cond_depth += 1
-            try:
-                then_cost = self.block_cost(op.then_block)
-                else_cost = (
-                    self.block_cost(op.else_block)
-                    if op.has_else
-                    else CostVector.zero()
-                )
-            finally:
-                self._cond_depth -= 1
-            branch = then_cost.join(else_cost)
-            return CostVector.for_instrs(_CTRL_STREAM) + branch
+            return self._branch_cost(op, tally)
         if isinstance(op, func.CallOp):
             return self._call_cost(op)
         if isinstance(op, (accfg.SetupOp, accfg.LaunchOp, accfg.AwaitOp)):
@@ -922,6 +1079,47 @@ class _FunctionWalker:
         if isinstance(op, UnregisteredOp):
             return CostVector.unmodeled_op(f"'{op.op_name}'")
         return CostVector.unmodeled_op(f"'{op.name}'")
+
+    def _loop_cost(self, op: scf.ForOp, tally: _Tally) -> CostVector | None:
+        trips = scf.constant_trip_count(op)
+        outer = self._level
+        loops, outer_trips = outer
+        site_trips: int | CostRange
+        if trips is not None and isinstance(outer_trips, int):
+            site_trips = outer_trips * trips
+        else:
+            site_trips = _as_range(outer_trips).times(self.trip_range(op))
+        self._level = (loops + (op,), site_trips)
+        try:
+            body = self.walk_block(op.body)
+        finally:
+            self._level = outer
+        # Each iteration pays the back-edge's increment + compare&branch.
+        if isinstance(body, _Tally):
+            body.add(_CTRL_PAIR)
+            if trips is not None:
+                tally.add_scaled(body, trips)
+                return None
+            per_iteration = body.vector()
+        else:
+            per_iteration = body + CostVector.for_instrs(_CTRL_PAIR_STREAM)
+        return per_iteration.scale(self.trip_range(op))
+
+    def _branch_cost(self, op: scf.IfOp, tally: _Tally) -> CostVector | None:
+        self._cond_depth += 1
+        try:
+            then_cost = self.walk_block(op.then_block)
+            else_cost = (
+                self.walk_block(op.else_block) if op.has_else else _Tally()
+            )
+        finally:
+            self._cond_depth -= 1
+        if isinstance(then_cost, _Tally) and isinstance(else_cost, _Tally):
+            tally.add(_CTRL)
+            tally.add_join(then_cost, else_cost)
+            return None
+        branch = _as_vector(then_cost).join(_as_vector(else_cost))
+        return CostVector.for_instrs(_CTRL_STREAM) + branch
 
     def _call_cost(self, op: func.CallOp) -> CostVector:
         overhead = CostVector.for_instrs(_CTRL_PAIR_STREAM)
@@ -953,6 +1151,40 @@ class _FunctionWalker:
         return overhead + summary.total.substitute(mapping)
 
 
+_Rule = Callable[[_FunctionWalker, Any, _Tally], bool]
+
+
+def _rule_for(kind: type) -> "_Rule | None":
+    """The charging rule for ops of class ``kind`` (None: not a
+    straight-line op)."""
+    if issubclass(kind, _SCALAR_OPS):
+        return _FunctionWalker._charge_scalar
+    if issubclass(kind, (scf.YieldOp, func.ReturnOp)):
+        return _FunctionWalker._charge_nothing
+    if issubclass(kind, accfg.SetupOp):
+        return _FunctionWalker._charge_setup
+    if issubclass(kind, accfg.LaunchOp):
+        return _FunctionWalker._charge_launch
+    if issubclass(kind, accfg.AwaitOp):
+        return _FunctionWalker._charge_await
+    if issubclass(kind, accfg.ResetOp):
+        return _FunctionWalker._charge_reset
+    if hasattr(kind, "host_effect") or issubclass(kind, UnregisteredOp):
+        return _FunctionWalker._charge_host
+    return None
+
+
+class _ChargeRules(dict[type, "_Rule | None"]):
+    """The charging rule of each op class, resolved on first sight."""
+
+    def __missing__(self, kind: type) -> "_Rule | None":
+        rule = self[kind] = _rule_for(kind)
+        return rule
+
+
+_CHARGE_RULES = _ChargeRules()
+
+
 # ---------------------------------------------------------------------------
 # The static-cost oracle
 # ---------------------------------------------------------------------------
@@ -967,17 +1199,14 @@ def parameter_bindings(args: Iterable[int]) -> dict[str, int]:
     return {f"arg{i}": max(0, int(value)) for i, value in enumerate(args)}
 
 
-def _check_range(
-    problems: list[str], label: str, count: CostRange, measured: int,
-    bindings: Mapping[str, int],
-) -> None:
-    lo, hi = count.evaluate(bindings)
+def _mismatch(bounds: tuple[int, int | None], measured: int) -> str | None:
+    """How ``measured`` falls outside the predicted ``[lo, hi]`` (None when
+    it lies inside)."""
+    lo, hi = bounds
     if measured < lo or (hi is not None and measured > hi):
         predicted = str(lo) if lo == hi else f"[{lo}, {'inf' if hi is None else hi}]"
-        problems.append(
-            f"{label}: simulator measured {measured}, static model "
-            f"predicts {predicted}"
-        )
+        return f"simulator measured {measured}, static model predicts {predicted}"
+    return None
 
 
 def compare_with_simulation(
@@ -998,8 +1227,8 @@ def compare_with_simulation(
     summary = analysis.summary(function)
     if summary is None or not summary.is_modeled:
         return []
-    total = summary.total
     bindings = parameter_bindings(args)
+    instr_bounds, byte_bounds, launch_bounds = summary.evaluate(bindings)
     problems: list[str] = []
 
     measured_instrs: dict[InstrKey, int] = {}
@@ -1013,37 +1242,33 @@ def compare_with_simulation(
             )
 
     for key in sorted(
-        set(total.instrs) | set(measured_instrs),
+        set(instr_bounds) | set(measured_instrs),
         key=lambda k: (k[0] or "", k[1].value),
     ):
-        _check_range(
-            problems,
-            f"instrs ({key[0] or 'host'}, {key[1].value})",
-            total.instrs.get(key, _ZERO_RANGE),
-            measured_instrs.get(key, 0),
-            bindings,
+        problem = _mismatch(
+            instr_bounds.get(key, (0, 0)), measured_instrs.get(key, 0)
         )
+        if problem:
+            problems.append(
+                f"instrs ({key[0] or 'host'}, {key[1].value}): {problem}"
+            )
     for bucket in sorted(
-        set(total.config_bytes) | set(measured_bytes), key=lambda b: b or ""
+        set(byte_bounds) | set(measured_bytes), key=lambda b: b or ""
     ):
-        _check_range(
-            problems,
-            f"config bytes on '{bucket or 'host'}'",
-            total.config_bytes.get(bucket, _ZERO_RANGE),
-            measured_bytes.get(bucket, 0),
-            bindings,
+        problem = _mismatch(
+            byte_bounds.get(bucket, (0, 0)), measured_bytes.get(bucket, 0)
         )
+        if problem:
+            problems.append(f"config bytes on '{bucket or 'host'}': {problem}")
     measured_launches = {
         name: device.launch_count for name, device in sim.devices.items()
     }
-    for name in sorted(set(total.launches) | set(measured_launches)):
-        _check_range(
-            problems,
-            f"launches on '{name}'",
-            total.launches.get(name, _ZERO_RANGE),
-            measured_launches.get(name, 0),
-            bindings,
+    for name in sorted(set(launch_bounds) | set(measured_launches)):
+        problem = _mismatch(
+            launch_bounds.get(name, (0, 0)), measured_launches.get(name, 0)
         )
+        if problem:
+            problems.append(f"launches on '{name}': {problem}")
 
     # Config cycles (Eq. 4): implied by the per-category counts, checked
     # explicitly so the cycle-level guarantee is stated in cycle units.
@@ -1055,11 +1280,10 @@ def compare_with_simulation(
     )
     lo_cycles, hi_cycles = 0.0, 0.0
     unbounded = False
-    for (_, category), count in total.instrs.items():
+    for (_, category), (lo, hi) in instr_bounds.items():
         if category not in config_categories:
             continue
         per = cycles_of[category]
-        lo, hi = count.evaluate(bindings)
         lo_cycles += lo * per
         if hi is None:
             unbounded = True

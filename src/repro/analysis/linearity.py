@@ -72,7 +72,7 @@ def linearity_diagnostics(
                 for prior in superseders.get(value, ())
             )
 
-        for op in fn.walk():
+        for op in fn.walk_list():
             if isinstance(op, accfg.SetupOp):
                 in_state = op.in_state
                 if in_state is not None:
@@ -98,7 +98,7 @@ def linearity_diagnostics(
                         "from the most recent setup's output state"
                     )
 
-    for op in module.walk():
+    for op in module.walk_list():
         if isinstance(op, func.FuncOp) and not op.is_declaration:
             visit_function(op)
     return engine.diagnostics[start:]
@@ -117,7 +117,7 @@ def unknown_accelerator_diagnostics(
     engine = engine or DiagnosticEngine()
     start = len(engine.diagnostics)
     reported: set[str] = set()
-    for op in module.walk():
+    for op in module.walk_list():
         name: str | None = None
         if isinstance(op, (accfg.SetupOp, accfg.LaunchOp, accfg.AwaitOp)):
             name = op.accelerator

@@ -136,7 +136,7 @@ def _annotate_loop_depth(diagnostics: list[Diagnostic]) -> None:
 def _functions(module: Operation) -> list[func.FuncOp]:
     return [
         op
-        for op in module.walk()
+        for op in module.walk_list()
         if isinstance(op, func.FuncOp) and not op.is_declaration
     ]
 
@@ -187,7 +187,7 @@ def _token_reaches_await(launch: accfg.LaunchOp) -> bool:
 def _check_launch_never_awaited(
     module: Operation, context: LintContext, engine: DiagnosticEngine
 ) -> None:
-    for op in module.walk():
+    for op in module.walk_list():
         if isinstance(op, accfg.LaunchOp) and not _token_reaches_await(op):
             in_loop = any(
                 isinstance(a, scf.ForOp) for a in _ancestors(op)
@@ -225,7 +225,7 @@ def _check_double_await(
 ) -> None:
     for fn in _functions(module):
         analysis = context.analyses.awaited_tokens(fn)
-        for op in fn.walk():
+        for op in fn.walk_list():
             if not isinstance(op, accfg.AwaitOp):
                 continue
             already = analysis.input_states.get(op)
@@ -264,7 +264,7 @@ def _is_ordered_after(op: Operation, anchor: Operation) -> bool:
 def _check_use_after_reset(
     module: Operation, context: LintContext, engine: DiagnosticEngine
 ) -> None:
-    for reset in module.walk():
+    for reset in module.walk_list():
         if not isinstance(reset, accfg.ResetOp):
             continue
         state = reset.state
@@ -344,7 +344,7 @@ def _check_dead_setup_fields(
     module: Operation, context: LintContext, engine: DiagnosticEngine
 ) -> None:
     analysis = context.analyses.observed_fields(module)
-    for op in module.walk():
+    for op in module.walk_list():
         if not isinstance(op, accfg.SetupOp) or not op.fields:
             continue
         observed = analysis.observed(op.out_state)
@@ -376,7 +376,7 @@ def _check_dead_setup_fields(
 def _check_redundant_setup_fields(
     module: Operation, context: LintContext, engine: DiagnosticEngine
 ) -> None:
-    for op in module.walk():
+    for op in module.walk_list():
         if not isinstance(op, accfg.SetupOp) or op.in_state is None:
             continue
         analysis = context.analyses.known_fields(module, op.accelerator)
@@ -424,14 +424,14 @@ def _check_pessimistic_clobber(
     from ..passes.trace_states import op_preserves_state
 
     for fn in _functions(module):
-        all_ops = list(fn.walk())
+        all_ops = fn.walk_list()
         used: set[str] = set()
         for op in all_ops:
             used |= _accfg_accelerators(op)
         if not used:
             continue
         # One bottom-up sweep marks every op whose subtree contains an accfg
-        # op (walk() is pre-order, so reversed order sees children first) —
+        # op (walk_list() is pre-order, so reversed order sees children first) —
         # replacing the former per-op nested re-walks.
         has_accfg: dict[Operation, bool] = {}
         for op in reversed(all_ops):
@@ -571,7 +571,7 @@ def _check_retention_hazard(
 ) -> None:
     for fn in _functions(module):
         hazards = _retention_hazards(fn)
-        for op in fn.walk():
+        for op in fn.walk_list():
             fields = hazards.get(op)
             if not fields:
                 continue

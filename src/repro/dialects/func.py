@@ -15,6 +15,7 @@ from ..ir.printer import Printer
 from ..ir.registry import register_custom_parser, register_op
 from ..ir.ssa import BlockArgument, SSAValue
 from ..ir.traits import IsolatedFromAbove, IsTerminator
+from .builtin import ModuleOp
 
 
 @register_op
@@ -72,6 +73,14 @@ class FuncOp(Operation):
     def verify_(self) -> None:
         if "sym_name" not in self.attributes:
             raise VerifyError("func.func needs a 'sym_name' attribute")
+        parent = self.parent_op
+        if parent is not None and not isinstance(parent, ModuleOp):
+            # Only a module's functions are callable or executable; a
+            # detached function still verifies on its own.
+            raise VerifyError(
+                f"func.func must be directly inside builtin.module, "
+                f"not '{parent.name}'"
+            )
         if not isinstance(self.attributes.get("function_type"), FunctionType):
             raise VerifyError("func.func needs a 'function_type' attribute")
         if self.is_declaration:

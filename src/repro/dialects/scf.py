@@ -8,6 +8,7 @@ yields the state of each branch (paper, Section 5.3 and Figure 9).
 from __future__ import annotations
 
 from ..ir.attributes import TypeAttribute, i1
+from . import arith
 from ..ir.block import Block, Region
 from ..ir.operation import Operation, VerifyError
 from ..ir.printer import Printer
@@ -191,6 +192,19 @@ class ForOp(Operation):
         printer._indent -= 1
         printer.newline()
         printer.emit("}")
+
+
+def constant_trip_count(loop: ForOp) -> int | None:
+    """How many times ``loop`` runs when its bounds and step are constants
+    and the step is positive (0 when ``ub <= lb``); None otherwise."""
+    lb = arith.constant_value(loop.lb)
+    ub = arith.constant_value(loop.ub)
+    step = arith.constant_value(loop.step)
+    if lb is None or ub is None or step is None or step <= 0:
+        return None
+    if ub <= lb:
+        return 0
+    return -(-(ub - lb) // step)
 
 
 @register_custom_parser("scf.for")

@@ -19,24 +19,13 @@ cloned, and only the loops nested inside those clones are new work.
 from __future__ import annotations
 
 from ..dialects import arith, scf
+from ..dialects.scf import constant_trip_count
 from ..ir.operation import Operation
 from ..ir.rewriter import Worklist, enclosing_scope
 from ..ir.ssa import SSAValue
 from .pass_manager import ModulePass, register_pass, report_scopes
 
 DEFAULT_MAX_TRIPS = 8
-
-
-def constant_trip_count(loop: scf.ForOp) -> int | None:
-    """The loop's trip count when lb/ub/step are all constants."""
-    lb = arith.constant_value(loop.lb)
-    ub = arith.constant_value(loop.ub)
-    step = arith.constant_value(loop.step)
-    if lb is None or ub is None or step is None or step <= 0:
-        return None
-    if ub <= lb:
-        return 0
-    return -(-(ub - lb) // step)
 
 
 def unroll_loop(

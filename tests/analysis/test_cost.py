@@ -17,8 +17,9 @@ from repro.analysis.cost import (
     compare_with_simulation,
     format_cost_table,
 )
+from repro.dialects import func, scf
 from repro.interp.interpreter import Interpreter
-from repro.ir import parse_module
+from repro.ir import FunctionType, parse_module
 from repro.isa.instructions import InstrCategory
 from repro.sim.cosim import CoSimulator
 from repro.workloads.matmul import build_gemmini_matmul, build_opengemm_matmul
@@ -304,3 +305,21 @@ class TestEngineIntegration:
         assert "@main" in table
         assert "opengemm" in table
         assert "CONFIG-BOUND" in table
+
+    def test_functions_are_the_module_top_level(self):
+        # A func.func nested in a loop no longer verifies; built by hand, it
+        # is not a function of the module, for the cost engine as for the
+        # trace compiler.
+        module, _ = _main_summary(
+            LOOP_TEMPLATE.format(
+                args="", lb=0, ub=2, step=1, frm="%lb", to="%ub", by="%step",
+            )
+        )
+        loop = next(op for op in module.walk() if isinstance(op, scf.ForOp))
+        nested = func.FuncOp.create("nested", FunctionType.from_lists([], []))
+        nested.body.add_op(func.ReturnOp.create())
+        loop.body.insert_op_before(loop.body.terminator, nested)
+        analysis = CostAnalysis(module)
+        assert [fn.sym_name for fn in analysis.functions()] == ["main"]
+        assert analysis.summary("nested") is None
+

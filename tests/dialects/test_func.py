@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dialects import arith, func
-from repro.ir import Block, FunctionType, VerifyError, i64
+from repro.ir import Block, FunctionType, VerifyError, i64, parse_module
 
 
 class TestFuncOp:
@@ -42,6 +42,55 @@ class TestFuncOp:
         fn = func.FuncOp.create("f", FunctionType.from_lists([], [i64]), body)
         with pytest.raises(VerifyError):
             fn.verify_()
+
+
+class TestFuncPlacement:
+    """A function verifies only directly inside a module (or detached)."""
+
+    def test_detached_function_verifies(self):
+        body = Block([func.ReturnOp.create()])
+        func.FuncOp.create("f", FunctionType.from_lists([], []), body).verify()
+
+    def test_module_level_functions_verify(self):
+        parse_module(
+            """
+            func.func @g() -> () {
+              func.return
+            }
+            func.func @main() -> () {
+              func.call @g() : () -> ()
+              func.return
+            }
+            """
+        ).verify()
+
+    def test_function_in_a_loop_body_is_rejected(self):
+        module = parse_module(
+            """
+            func.func @main() -> () {
+              %c0 = arith.constant 0 : index
+              %c1 = arith.constant 1 : index
+              scf.for %i = %c0 to %c1 step %c1 {
+                func.func @inner() -> () {
+                  func.return
+                }
+                scf.yield
+              }
+              func.return
+            }
+            """
+        )
+        with pytest.raises(VerifyError, match="inside builtin.module, not 'scf.for'"):
+            module.verify()
+
+    def test_function_in_a_function_is_rejected(self):
+        inner = func.FuncOp.create(
+            "inner", FunctionType.from_lists([], []), Block([func.ReturnOp.create()])
+        )
+        body = Block([inner, func.ReturnOp.create()])
+        outer = func.FuncOp.create("outer", FunctionType.from_lists([], []), body)
+        with pytest.raises(VerifyError, match="not 'func.func'"):
+            outer.verify()
 
 
 class TestCallOp:

@@ -81,6 +81,32 @@ class TestForOp:
             loop.verify_()
 
 
+class TestConstantTripCount:
+    """One rule for a loop's constant trip count: ``ceil((ub - lb) / step)``
+    clamped at zero, for constant bounds and a positive constant step."""
+
+    def loop(self, lb, ub, step):
+        consts = [arith.ConstantOp.create(v, index) for v in (lb, ub, step)]
+        return scf.ForOp.create(*(c.result for c in consts))
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 7])
+    @pytest.mark.parametrize("lb", [-4, 0, 3])
+    def test_counts_match_the_floor_division_form(self, lb, step):
+        for ub in range(-6, 12):
+            expected = max(0, -((lb - ub) // step))
+            assert scf.constant_trip_count(self.loop(lb, ub, step)) == expected
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_nonpositive_step_has_no_count(self, step):
+        assert scf.constant_trip_count(self.loop(0, 8, step)) is None
+
+    def test_runtime_bound_has_no_count(self):
+        lb, _, step = bounds()
+        ub = Block(arg_types=[index]).args[0]
+        loop = scf.ForOp.create(lb.result, ub, step.result)
+        assert scf.constant_trip_count(loop) is None
+
+
 class TestIfOp:
     def cond(self):
         return arith.ConstantOp.create(1, i1)

@@ -39,7 +39,7 @@ def _import_example(name: str):
         return __import__(name)
 
 
-def _example_modules() -> dict[str, str]:
+def example_modules() -> dict[str, str]:
     """Example name -> its generated IR, printed as parseable text."""
     modules: dict[str, str] = {}
     modules["quickstart"] = _import_example("quickstart").PROGRAM
@@ -66,7 +66,7 @@ def run() -> int:
     gated = sorted(set(LINT_RULES) - BY_DESIGN)
     filters = [arg for code in gated for arg in ("--filter", code)]
     failures = []
-    modules = _example_modules()
+    modules = example_modules()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in modules.items():
             parse_module(text)  # the emitted IR must round-trip
