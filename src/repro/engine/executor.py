@@ -12,8 +12,9 @@ messages cannot drift.  The speed comes from doing per-execution work only:
 
 * opcode dispatch on small ints instead of ``isinstance`` ladders;
 * SSA environments as flat lists indexed by precomputed slots;
-* host-instruction charging inlined (span + trace append + time bump)
-  with each record's cycles and span kind resolved once per run.
+* host-instruction charging inlined (trace append + time bump) with each
+  record's cycles resolved once per run; the timeline derives the spans
+  from the trace (:class:`repro.sim.timeline.Timeline`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from ..interp.interpreter import (
     _not_int,
 )
 from ..isa.instructions import CTRL_INSTR
-from ..sim.cosim import _SPAN_FOR_CATEGORY, CoSimulator
-from ..sim.timeline import Span
+from ..sim.cosim import CoSimulator
 from .compiler import (
     OP_AWAIT,
     OP_BINOP,
@@ -77,10 +77,10 @@ class TraceExecutor(AccfgRuntime):
             )
         super().__init__(sim, compiled.functions, compiled.declarations)
         self.compiled = compiled
-        # id(instr) -> (cycles, span kind, instr) per distinct Instr,
-        # resolved once per run against this sim's cost model.  Keyed by
-        # identity: the frozen dataclass hash costs a Python call per
-        # lookup, and the entry keeps the record alive so its id stays put.
+        # id(instr) -> (cycles, instr) per distinct Instr, resolved once
+        # per run against this sim's cost model.  Keyed by identity: the
+        # frozen dataclass hash costs a Python call per lookup, and the
+        # entry keeps the record alive so its id stays put.
         self._cost: dict[int, tuple] = {}
 
     # -- public API ------------------------------------------------------
@@ -102,11 +102,7 @@ class TraceExecutor(AccfgRuntime):
 
     def _resolve(self, instr) -> tuple:
         """Enter a record seen for the first time into the cost table."""
-        entry = (
-            self.sim.cost_model.cycles(instr),
-            _SPAN_FOR_CATEGORY[instr.category],
-            instr,
-        )
+        entry = (self.sim.cost_model.cycles(instr), instr)
         self._cost[id(instr)] = entry
         return entry
 
@@ -115,9 +111,7 @@ class TraceExecutor(AccfgRuntime):
         code = fn.code
         cost = self._cost.get
         resolve = self._resolve
-        ctrl_cycles, ctrl_kind, _ = cost(id(CTRL_INSTR)) or resolve(CTRL_INSTR)
-        new = tuple.__new__
-        spans_append = sim.timeline.spans.append
+        ctrl_cycles, _ = cost(id(CTRL_INSTR)) or resolve(CTRL_INSTR)
         trace_append = sim.trace.instrs.append
         pc = 0
         while True:
@@ -134,11 +128,8 @@ class TraceExecutor(AccfgRuntime):
                     raise _not_int(rhs)
                 value = evaluate(None, lhs, rhs)
                 frame[dst] = value & mask if mask is not None else value
-                cycles, kind, _ = cost(id(instr)) or resolve(instr)
-                t = sim.host_time
-                if cycles > 0:
-                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
-                sim.host_time = t + cycles
+                cycles, _ = cost(id(instr)) or resolve(instr)
+                sim.host_time += cycles
                 trace_append(instr)
                 pc += 1
                 continue
@@ -151,14 +142,9 @@ class TraceExecutor(AccfgRuntime):
             if opcode == OP_FOR_TEST:
                 _, iv, ub, exit_target = ins
                 if frame[iv] < frame[ub]:
-                    # Increment + compare&branch of the loop back-edge.
-                    t = sim.host_time
-                    end = t + 2 * ctrl_cycles
-                    if ctrl_cycles > 0:
-                        mid = t + ctrl_cycles
-                        spans_append(new(Span, ("host", ctrl_kind, t, mid, "")))
-                        spans_append(new(Span, ("host", ctrl_kind, mid, end, "")))
-                    sim.host_time = end
+                    # Increment + compare&branch of the loop back-edge: two
+                    # records, so two additions, as the tree interpreter's.
+                    sim.host_time = sim.host_time + ctrl_cycles + ctrl_cycles
                     trace_append(CTRL_INSTR)
                     trace_append(CTRL_INSTR)
                     pc += 1
@@ -175,11 +161,8 @@ class TraceExecutor(AccfgRuntime):
             if opcode == OP_CONST:
                 _, dst, value, instr = ins
                 frame[dst] = value
-                cycles, kind, _ = cost(id(instr)) or resolve(instr)
-                t = sim.host_time
-                if cycles > 0:
-                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
-                sim.host_time = t + cycles
+                cycles, _ = cost(id(instr)) or resolve(instr)
+                sim.host_time += cycles
                 trace_append(instr)
                 pc += 1
                 continue
@@ -193,11 +176,8 @@ class TraceExecutor(AccfgRuntime):
                 if not isinstance(rhs, int):
                     raise _not_int(rhs)
                 frame[dst] = int(_evaluate_predicate(predicate, lhs, rhs, width))
-                cycles, kind, _ = cost(id(instr)) or resolve(instr)
-                t = sim.host_time
-                if cycles > 0:
-                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
-                sim.host_time = t + cycles
+                cycles, _ = cost(id(instr)) or resolve(instr)
+                sim.host_time += cycles
                 trace_append(instr)
                 pc += 1
                 continue
@@ -208,11 +188,8 @@ class TraceExecutor(AccfgRuntime):
                 if not isinstance(cond, int):
                     raise _not_int(cond)
                 frame[dst] = frame[tv if cond else fv]
-                cycles, kind, _ = cost(id(instr)) or resolve(instr)
-                t = sim.host_time
-                if cycles > 0:
-                    spans_append(new(Span, ("host", kind, t, t + cycles, "")))
-                sim.host_time = t + cycles
+                cycles, _ = cost(id(instr)) or resolve(instr)
+                sim.host_time += cycles
                 trace_append(instr)
                 pc += 1
                 continue
@@ -222,12 +199,7 @@ class TraceExecutor(AccfgRuntime):
                 cond = frame[cond_slot]
                 if not isinstance(cond, int):
                     raise _not_int(cond)
-                t = sim.host_time
-                if ctrl_cycles > 0:
-                    spans_append(
-                        new(Span, ("host", ctrl_kind, t, t + ctrl_cycles, ""))
-                    )
-                sim.host_time = t + ctrl_cycles
+                sim.host_time += ctrl_cycles
                 trace_append(CTRL_INSTR)
                 pc = pc + 1 if cond else false_target
                 continue

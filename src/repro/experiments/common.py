@@ -2,8 +2,8 @@
 right host model and collect metrics.
 
 Workloads execute on the trace engine (:func:`repro.engine.run_module_traced`),
-which is bit-identical to the tree interpreter and falls back to it for
-modules the trace compiler does not support."""
+which compiles every verified module and is bit-identical to the tree
+interpreter."""
 
 from __future__ import annotations
 

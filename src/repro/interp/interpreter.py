@@ -225,7 +225,10 @@ class AccfgRuntime:
 
     def _setup(self, frame, record: tuple) -> None:
         accel, names, keys, out_key, in_key, loc, site = record
-        if in_key is not None and frame[in_key] in self._reset_states:
+        # A state handle hashes by a Python call, so the membership test
+        # runs only once some state was reset.
+        reset = self._reset_states
+        if reset and in_key is not None and frame[in_key] in reset:
             raise _reset_state_error("setup", accel, loc)
         fields = _int_fields(frame, names, keys)
         try:
@@ -237,7 +240,8 @@ class AccfgRuntime:
 
     def _launch(self, frame, record: tuple) -> None:
         accel, names, keys, token_key, state_key, loc, site = record
-        if frame[state_key] in self._reset_states:
+        reset = self._reset_states
+        if reset and frame[state_key] in reset:
             raise _reset_state_error("launch", accel, loc)
         fields = _int_fields(frame, names, keys)
         try:

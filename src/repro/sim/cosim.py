@@ -16,25 +16,16 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..backends.base import get_accelerator
-from ..isa.instructions import HostCostModel, Instr, InstrCategory, sync_instr
+from ..isa.instructions import HostCostModel, Instr, sync_instr
 from ..isa.trace import Trace
 from .device import AcceleratorDevice, FaultError, LaunchToken
 from .memory import Memory
-from .timeline import Span, SpanKind, Timeline
+from .timeline import _SPAN_FOR_CATEGORY, SpanKind, Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.model import FaultInjector
     from ..faults.recovery import RecoveryPolicy, ReliancePlan
     from ..ir.operation import Operation
-
-_SPAN_FOR_CATEGORY = {
-    InstrCategory.SETUP: SpanKind.SETUP,
-    InstrCategory.CALC: SpanKind.CALC,
-    InstrCategory.COMPUTE: SpanKind.COMPUTE,
-    InstrCategory.CONTROL: SpanKind.COMPUTE,
-    InstrCategory.LAUNCH: SpanKind.SETUP,
-    InstrCategory.SYNC: SpanKind.STALL,
-}
 
 #: Cost models are immutable, so one default serves every simulator.
 _DEFAULT_COST_MODEL = HostCostModel()
@@ -56,8 +47,12 @@ class CoSimulator:
         self.cost_model = cost_model or _DEFAULT_COST_MODEL
         self.functional = functional
         self.host_time = 0.0
+        #: the durations of the host stall spans this simulator records
+        #: (waits and sync records), summed in timeline order from int 0:
+        #: ``timeline.busy_time("host", SpanKind.STALL)`` without a replay
+        self.host_stall_cycles = 0
         self.trace = Trace()
-        self.timeline = Timeline()
+        self.timeline = Timeline(self.trace.instrs, self.cost_model)
         self._devices: dict[str, AcceleratorDevice] = {}
         #: id(stream) -> (charge plan, stream) for every shared stream this
         #: simulator charged; the entry holds the stream, so the id stays
@@ -105,9 +100,10 @@ class CoSimulator:
     def charge(self, instrs: Iterable[Instr], label: str = "") -> None:
         """Execute host instructions back to back at the current time.
 
-        Each record costs its category's cycles and, when that is above
-        zero, leaves one host span.  A tuple is taken to be a shared stream
-        (a spec's ``*_instrs_cached`` streams, the interpreter's per-op
+        Each record costs its category's cycles; the timeline derives its
+        span from the trace (:class:`~repro.sim.timeline.Timeline`) and
+        logs only the label.  A tuple is taken to be a shared stream (a
+        spec's ``*_instrs_cached`` streams, the interpreter's per-op
         records): its plan is resolved on first charge and kept for this
         simulator's life.  Any other iterable is resolved afresh, so a
         one-off stream should not come as a tuple.
@@ -121,17 +117,19 @@ class CoSimulator:
             instrs = list(instrs)  # any iterable, read twice below
             plan = self._plan(instrs)
         time = self.host_time
-        append = self.timeline.spans.append
-        new = tuple.__new__
-        for kind, cycles in plan:
+        for cycles, stall in plan:
             end = time + cycles
-            append(new(Span, ("host", kind, time, end, label)))
+            if stall:
+                self.host_stall_cycles += end - time
             time = end
         self.trace.instrs.extend(instrs)
         self.host_time = time
+        if label and plan:
+            self.timeline.labeled(len(instrs), label)
 
     def _plan(self, instrs: Sequence[Instr]) -> tuple:
-        """(span kind, cycles) of each record that takes time, in order.
+        """(cycles, whether its span is a stall) of each record that takes
+        time, in order.
 
         Records of zero cycles leave no span and do not move the clock
         (adding zero is exact), so replaying only these is the per-record
@@ -142,7 +140,8 @@ class CoSimulator:
         for instr in instrs:
             cycles = cycles_of[instr.category]
             if cycles > 0:
-                plan.append((_SPAN_FOR_CATEGORY[instr.category], cycles))
+                kind = _SPAN_FOR_CATEGORY[instr.category]
+                plan.append((cycles, kind is SpanKind.STALL))
         return tuple(plan)
 
     def charge_one(self, instr: Instr, label: str = "") -> None:
@@ -151,9 +150,8 @@ class CoSimulator:
     def stall_until(self, when: float, label: str = "") -> None:
         now = self.host_time
         if when > now:
-            self.timeline.spans.append(
-                tuple.__new__(Span, ("host", SpanKind.STALL, now, when, label))
-            )
+            self.timeline.stall(when, label)
+            self.host_stall_cycles += when - now
             self.host_time = when
 
     # -- accfg semantics -------------------------------------------------
@@ -217,12 +215,7 @@ class CoSimulator:
                 {name: int(value) for name, value in launch_fields.items()}
             )
         _, _, start, end, _ = token
-        if end > start:
-            self.timeline.spans.append(
-                tuple.__new__(
-                    Span, (accelerator, SpanKind.ACCEL, start, end, "macro-op")
-                )
-            )
+        self.timeline.record(accelerator, SpanKind.ACCEL, start, end, "macro-op")
         return token
 
     def exec_await(self, token: LaunchToken) -> None:

@@ -181,7 +181,9 @@ class AcceleratorDevice:
         self.total_ops += ops
         self.busy_cycles += cycles
         self._launch_ends.append(end)
-        return LaunchToken(self, self.launch_count, start, end, ops)
+        # Built as a plain tuple: the named-tuple constructor is a Python
+        # call per launch.
+        return tuple.__new__(LaunchToken, (self, self.launch_count, start, end, ops))
 
     def completion_time(self, token: LaunchToken) -> float:
         if token.device is not self:

@@ -81,14 +81,34 @@ class Memory:
         self._next = base
         self._alignment = alignment
         self._buffers: list[Buffer] = []
+        #: (addr, end, flat view, scalar type, itemsize) of each buffer, in
+        #: allocation order: what every access reads, resolved once.  The
+        #: scalar type (``np.int8``, as the backends pass it) is the dtype
+        #: itself where no scalar type names it exactly (a byte-swapped
+        #: int32), so an access passing it needs no dtype comparison.
+        self._regions: list[tuple] = []
         self._snapshots: list[MemorySnapshot] = []
+
+    def _add(self, buffer: Buffer) -> None:
+        dtype = buffer.array.dtype
+        scalar = dtype.type if np.dtype(dtype.type) == dtype else dtype
+        self._buffers.append(buffer)
+        self._regions.append(
+            (
+                buffer.addr,
+                buffer.end,
+                buffer.array.reshape(-1),
+                scalar,
+                dtype.itemsize,
+            )
+        )
 
     def alloc(self, shape: tuple[int, ...] | int, dtype) -> Buffer:
         """Allocate a zeroed region and return its buffer."""
         array = np.zeros(shape, dtype=dtype)
         addr = self._next
         buffer = Buffer(addr, array)
-        self._buffers.append(buffer)
+        self._add(buffer)
         size = max(array.nbytes, 1)
         self._next = self._align(addr + size)
         return buffer
@@ -120,9 +140,10 @@ class Memory:
         clone = Memory.__new__(Memory)
         clone._next = self._next
         clone._alignment = self._alignment
-        clone._buffers = [
-            Buffer(buffer.addr, buffer.array.copy()) for buffer in self._buffers
-        ]
+        clone._buffers = []
+        clone._regions = []
+        for buffer in self._buffers:
+            clone._add(Buffer(buffer.addr, buffer.array.copy()))
         clone._snapshots = []
         return clone
 
@@ -132,23 +153,26 @@ class Memory:
 
     def buffer_at(self, addr: int) -> Buffer:
         """The buffer containing byte address ``addr``."""
-        for buffer in self._buffers:
-            if buffer.addr <= addr < buffer.end:
+        for buffer, region in zip(self._buffers, self._regions):
+            if region[0] <= addr < region[1]:
                 return buffer
         raise MemoryError_(f"address {addr:#x} is not inside any allocation")
 
     def _flat_view(self, addr: int, dtype) -> tuple[np.ndarray, int]:
-        buffer = self.buffer_at(addr)
-        if np.dtype(dtype) != buffer.array.dtype:
+        for base, end, flat, scalar, itemsize in self._regions:
+            if base <= addr < end:
+                break
+        else:
+            raise MemoryError_(f"address {addr:#x} is not inside any allocation")
+        if dtype is not scalar and np.dtype(dtype) != flat.dtype:
             raise MemoryError_(
                 f"access at {addr:#x} with dtype {np.dtype(dtype)} but region "
-                f"holds {buffer.array.dtype}"
+                f"holds {flat.dtype}"
             )
-        offset_bytes = addr - buffer.addr
-        itemsize = buffer.array.dtype.itemsize
+        offset_bytes = addr - base
         if offset_bytes % itemsize:
             raise MemoryError_(f"misaligned access at {addr:#x}")
-        return buffer.array.reshape(-1), offset_bytes // itemsize
+        return flat, offset_bytes // itemsize
 
     @staticmethod
     def _tile(

@@ -79,9 +79,6 @@ def collect_metrics(sim: CoSimulator, accelerator: str) -> RunMetrics:
     device = sim.device(accelerator)
     stats: TraceStats = sim.trace.stats(sim.cost_model, accelerator)
     launch_cycles = stats.cycles_by_category.get(InstrCategory.LAUNCH, 0.0)
-    from .timeline import SpanKind
-
-    stall = sim.timeline.busy_time("host", SpanKind.STALL)
     return RunMetrics(
         accelerator=accelerator,
         peak_ops_per_cycle=device.spec.peak_ops_per_cycle,
@@ -98,5 +95,5 @@ def collect_metrics(sim: CoSimulator, accelerator: str) -> RunMetrics:
         calc_cycles=stats.calc_cycles,
         launch_count=device.launch_count,
         accel_busy_cycles=device.busy_cycles,
-        host_stall_cycles=stall,
+        host_stall_cycles=sim.host_stall_cycles,
     )

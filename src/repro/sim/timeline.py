@@ -4,13 +4,21 @@ Records what the host and each accelerator were doing over time, enabling
 Figure-2/Figure-7-style visualizations of configuration overhead: host spans
 for configuration, parameter calculation and stalls; accelerator spans for
 macro-op execution; and the idle gaps in between.
+
+A simulator's timeline is a log over its instruction trace.  Every host
+record the simulator charges implies its own span: the span starts where
+the previous host span ended, lasts the record's category's cycles, and
+carries the label of the charge that issued it (records of zero cycles
+leave none).  The log keeps only what the trace does not imply, and
+:attr:`Timeline.spans` replays both into the span list on read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
+
+from ..isa.instructions import HostCostModel, Instr, InstrCategory
 
 
 class SpanKind(str, Enum):
@@ -29,11 +37,29 @@ _GLYPHS = {
     SpanKind.ACCEL: "X",
 }
 
+#: the span each category's host work is drawn as
+_SPAN_FOR_CATEGORY = {
+    InstrCategory.SETUP: SpanKind.SETUP,
+    InstrCategory.CALC: SpanKind.CALC,
+    InstrCategory.COMPUTE: SpanKind.COMPUTE,
+    InstrCategory.CONTROL: SpanKind.COMPUTE,
+    InstrCategory.LAUNCH: SpanKind.SETUP,
+    InstrCategory.SYNC: SpanKind.STALL,
+}
+
+# Log entries.  Each is tagged and carries the trace position (the number
+# of records charged before it) at which it happened.  Only a kept span
+# holds a span kind, an object the collector tracks, so it untracks every
+# other entry once it has seen it.
+_RUN = 0  # (_RUN, position, end position, label): records under a label
+_STALL = 1  # (_STALL, position, end time, label): the host waits
+_SPAN = 2  # (_SPAN, position, span): any other span, kept as given
+
 
 class Span(NamedTuple):
     """A half-open interval ``[start, end)`` of activity by one actor.
 
-    A named tuple, so the simulator's hot loops can build one with
+    A named tuple, so the replay can build one with
     ``tuple.__new__(Span, (...))`` and skip the per-field assignment a
     frozen dataclass pays.
     """
@@ -49,28 +75,95 @@ class Span(NamedTuple):
         return self.end - self.start
 
 
-@dataclass
 class Timeline:
-    """Append-only list of spans with aggregation and ASCII rendering."""
+    """Spans of activity, logged over a run's host instruction trace.
 
-    spans: list[Span] = field(default_factory=list)
+    ``instrs`` is the trace the host's records are appended to (a
+    simulator passes its own ``trace.instrs``), priced by ``cost_model``.
+    The host clock starts at zero and moves only by those records and by
+    :meth:`stall`, which is how :class:`~repro.sim.cosim.CoSimulator`
+    moves its own ``host_time``; the replay makes the same sequential
+    additions, so every span is the one an eager recording would build.
+    """
+
+    def __init__(
+        self,
+        instrs: list[Instr] | None = None,
+        cost_model: HostCostModel | None = None,
+    ) -> None:
+        self._instrs: list[Instr] = [] if instrs is None else instrs
+        self._cost_model = cost_model or HostCostModel()
+        self._log: list[tuple] = []
+
+    # -- recording -------------------------------------------------------
+
+    def labeled(self, count: int, label: str) -> None:
+        """The last ``count`` records of the trace were charged under
+        ``label`` (records charged without one carry ``""``)."""
+        end = len(self._instrs)
+        self._log.append((_RUN, end - count, end, label))
+
+    def stall(self, end: float, label: str = "") -> None:
+        """The host waits from its clock until ``end``, which must be
+        later."""
+        self._log.append((_STALL, len(self._instrs), end, label))
 
     def record(
         self, actor: str, kind: SpanKind, start: float, end: float, label: str = ""
     ) -> None:
+        """Any other span; it does not move the host clock."""
         if end > start:
-            self.spans.append(Span(actor, kind, start, end, label))
+            span = tuple.__new__(Span, (actor, kind, start, end, label))
+            self._log.append((_SPAN, len(self._instrs), span))
+
+    # -- replay ----------------------------------------------------------
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every span in the order it happened, as a new list."""
+        instrs = self._instrs
+        cycles_of = self._cost_model.cycles_by_category
+        # (cycles, span kind) of each distinct record by identity, None for
+        # a record that takes no time; the trace holds the records, so
+        # their ids stay put.
+        costs: dict[int, tuple | None] = {}
+        for key, instr in dict(zip(map(id, instrs), instrs)).items():
+            cycles = cycles_of[instr.category]
+            costs[key] = (
+                (cycles, _SPAN_FOR_CATEGORY[instr.category]) if cycles > 0 else None
+            )
+        spans: list[Span] = []
+        time = 0.0
+        done = 0  # records replayed so far
+        for entry in self._log:
+            tag, position = entry[0], entry[1]
+            if position > done:
+                time = _host_spans(spans, costs, instrs[done:position], time, "")
+                done = position
+            if tag == _RUN:
+                done = entry[2]
+                time = _host_spans(
+                    spans, costs, instrs[position:done], time, entry[3]
+                )
+            elif tag == _STALL:
+                end = entry[2]
+                spans.append(
+                    tuple.__new__(Span, ("host", SpanKind.STALL, time, end, entry[3]))
+                )
+                time = end
+            else:
+                spans.append(entry[2])
+        _host_spans(spans, costs, instrs[done:], time, "")
+        return spans
+
+    # -- reading ---------------------------------------------------------
 
     @property
     def end_time(self) -> float:
-        return max((span.end for span in self.spans), default=0.0)
+        return _end_time(self.spans)
 
     def actors(self) -> list[str]:
-        seen: list[str] = []
-        for span in self.spans:
-            if span.actor not in seen:
-                seen.append(span.actor)
-        return seen
+        return _actors(self.spans)
 
     def busy_time(self, actor: str, kind: SpanKind | None = None) -> float:
         # By index, kind first: a tuple subclass indexes faster than it
@@ -87,8 +180,9 @@ class Timeline:
 
     def idle_time(self, actor: str) -> float:
         """Time within [0, end_time) the actor spent doing nothing at all."""
+        spans = self.spans
         intervals = sorted(
-            (span.start, span.end) for span in self.spans if span.actor == actor
+            (span.start, span.end) for span in spans if span.actor == actor
         )
         covered = 0.0
         cursor = 0.0
@@ -97,7 +191,7 @@ class Timeline:
                 continue
             covered += end - max(start, cursor)
             cursor = max(cursor, end)
-        return self.end_time - covered
+        return _end_time(spans) - covered
 
     def render_ascii(self, width: int = 72) -> str:
         """Render the timeline as one text row per actor.
@@ -105,14 +199,16 @@ class Timeline:
         Glyphs: ``C`` config writes, ``c`` parameter calculation, ``h`` other
         host work, ``.`` stall, ``X`` accelerator compute, space = idle.
         """
-        total = self.end_time
+        spans = self.spans
+        total = _end_time(spans)
         if total <= 0:
             return "(empty timeline)"
         lines = []
-        name_width = max(len(a) for a in self.actors())
-        for actor in self.actors():
+        actors = _actors(spans)
+        name_width = max(len(a) for a in actors)
+        for actor in actors:
             row = [" "] * width
-            for span in self.spans:
+            for span in spans:
                 if span.actor != actor:
                     continue
                 lo = int(span.start / total * width)
@@ -124,3 +220,29 @@ class Timeline:
         scale = f"{'':<{name_width}}  0{'':{width - 2}}{total:.0f} cycles"
         lines.append(scale)
         return "\n".join(lines)
+
+
+def _host_spans(
+    spans: list[Span], costs: dict, records: list[Instr], time: float, label: str
+) -> float:
+    """Append the spans of ``records`` charged back to back from host
+    clock ``time`` under ``label``; returns the clock after them."""
+    new = tuple.__new__
+    append = spans.append
+    for cycles, kind in filter(None, map(costs.__getitem__, map(id, records))):
+        end = time + cycles
+        append(new(Span, ("host", kind, time, end, label)))
+        time = end
+    return time
+
+
+def _end_time(spans: list[Span]) -> float:
+    return max((span.end for span in spans), default=0.0)
+
+
+def _actors(spans: list[Span]) -> list[str]:
+    seen: list[str] = []
+    for span in spans:
+        if span.actor not in seen:
+            seen.append(span.actor)
+    return seen

@@ -99,6 +99,51 @@ class TestMatrixAccess:
             mem.write_matrix(buf.addr, np.zeros((4, 4), np.int32), 4)
 
 
+class TestRegionTable:
+    """Each access reads the buffer's region, resolved once at allocation;
+    the messages are the ones the buffer scan gave."""
+
+    def test_messages(self):
+        mem = Memory()
+        small = mem.alloc(4, np.int8)
+        words = mem.alloc(4, np.int32)
+        cases = [
+            (0x10, np.int8, "address 0x10 is not inside any allocation"),
+            (small.addr, np.int32, f"access at {small.addr:#x} with dtype int32 "
+             "but region holds int8"),
+            (words.addr + 2, np.int32, f"misaligned access at {words.addr + 2:#x}"),
+        ]
+        for addr, dtype, message in cases:
+            with pytest.raises(MemoryError_) as error:
+                mem.read_matrix(addr, 1, 1, 1, dtype)
+            assert str(error.value) == message
+
+    def test_any_spelling_of_the_dtype(self):
+        mem = Memory()
+        buf = mem.place(np.arange(4, dtype=np.int32))
+        for dtype in (np.int32, np.dtype(np.int32), "int32", buf.array.dtype):
+            assert mem.read_matrix(buf.addr, 1, 4, 4, dtype).tolist() == [[0, 1, 2, 3]]
+
+    def test_byte_swapped_region_rejects_the_native_scalar_type(self):
+        mem = Memory()
+        buf = mem.place(np.arange(4, dtype=">i4"))
+        with pytest.raises(MemoryError_, match="region holds >i4"):
+            mem.read_matrix(buf.addr, 1, 4, 4, np.int32)
+        with pytest.raises(MemoryError_, match="with dtype float64"):
+            mem.read_matrix(buf.addr, 1, 4, 4, None)
+        tile = mem.read_matrix(buf.addr, 1, 4, 4, buf.array.dtype)
+        assert tile.tolist() == [[0, 1, 2, 3]]
+
+    def test_duplicate_accesses_its_own_arrays(self):
+        mem = Memory()
+        buf = mem.place(np.arange(4, dtype=np.int32))
+        clone = mem.duplicate()
+        clone.write_matrix(buf.addr, np.full((1, 2), 9, np.int32), 2)
+        assert clone.buffers[0].array.tolist() == [9, 9, 2, 3]
+        assert buf.array.tolist() == [0, 1, 2, 3]
+        assert mem.read_matrix(buf.addr, 1, 2, 2, np.int32).tolist() == [[0, 1]]
+
+
 def _rows_read(flat, offset, rows, cols, row_stride):
     """The row-by-row definition of a strided tile read."""
     out = np.empty((rows, cols), dtype=flat.dtype)
