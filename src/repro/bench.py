@@ -192,17 +192,18 @@ def bench_simulate_warm(quick: bool = False) -> dict:
     the first rep per program compiles, the rest dispatch cached traces.
     Cache keys are precomputed once per program, matching how the fuzz
     oracles reuse one structural key across repeated executions (keying on
-    every call would re-fingerprint the module each run, which for small
+    every call would walk the module again each run, which for small
     modules costs more than compiling them).
     """
-    from .engine import TraceCache, TraceExecutor, module_fingerprint
+    from .engine import TraceCache, TraceExecutor
+    from .ir import structural_key
     from .sim import CoSimulator
     from .testing.generator import build_spec
 
     bases = [
         build_spec(spec, memory_seed=PINNED_SEED) for spec in _pinned_programs()
     ]
-    keys = [module_fingerprint(built.module) for built in bases]
+    keys = [structural_key(built.module) for built in bases]
     cache = TraceCache()
     reps = 16 if quick else 200
     started = time.perf_counter()
@@ -230,14 +231,15 @@ def bench_simulate_functional(quick: bool = False) -> dict:
     is the price of emulating accelerator semantics, which the old
     conflated ``simulate`` workload hid inside one number.
     """
-    from .engine import TraceCache, TraceExecutor, module_fingerprint
+    from .engine import TraceCache, TraceExecutor
+    from .ir import structural_key
     from .sim import CoSimulator
     from .testing.generator import build_spec
 
     bases = [
         build_spec(spec, memory_seed=PINNED_SEED) for spec in _pinned_programs()
     ]
-    keys = [module_fingerprint(built.module) for built in bases]
+    keys = [structural_key(built.module) for built in bases]
     cache = TraceCache()
     reps = 8 if quick else 100
     started = time.perf_counter()

@@ -1,30 +1,26 @@
-"""Content-hash-keyed cache of compiled traces.
+"""Structurally keyed cache of compiled traces.
 
-The fuzzer's differential oracles execute the *same optimized module text*
+The fuzzer's differential oracles execute the *same optimized module*
 over and over: several pipelines routinely converge to identical IR (e.g.
 ``dedup`` and ``full`` when there is nothing to overlap), and experiment
-sweeps re-run one module per size point.  Keying compiled traces on a
-content hash of the printed module makes every such re-execution skip
-compilation entirely.
+sweeps re-run one module per size point.  Keying compiled traces on the
+module's identity makes every such re-execution skip compilation entirely.
 
-Key = SHA-256 of the module's structural serialization
-(:func:`repro.ir.fingerprint_operation` — a faster, hash-oriented form of
-the printed text).  The serialization pins everything the compiled form
-depends on: op structure, SSA topology, attributes (field names,
-accelerator names), and types.  Mutating a module in place therefore
-changes its fingerprint and misses the cache — there is no in-place
-invalidation to get wrong.
-Device behavior is resolved at *execution* time (the compiled stream stores
-accelerator names, not device objects), so one entry serves every backend
-registry state and cost model.
+Key = the module's :func:`repro.ir.structural_key`, a tuple of ints and
+strings that pins everything the compiled form depends on: op structure,
+SSA topology, attributes (field names, accelerator names), and types.
+Mutating a module in place therefore changes its key and misses the cache
+— there is no in-place invalidation to get wrong.  Device behavior is
+resolved at *execution* time (the compiled stream stores accelerator
+names, not device objects), so one entry serves every backend registry
+state and cost model.
 
 Two tiers.  The in-memory LRU above is process-local; an optional
 :class:`repro.engine.pcache.PersistentStore` backs it on disk so compiled
 traces survive across processes (``fuzz --jobs N`` shards, two-phase CI,
-repeated sweeps).  Callers may hand ``get_or_compile`` a precomputed
-``structural_key`` tuple as the in-memory key — those tuples intern atoms
-per process, so the persistent tier always keys on the process-stable
-:func:`module_fingerprint` instead.  Attach a store explicitly with
+repeated sweeps).  The disk tier files an entry under
+:func:`module_fingerprint`, the SHA-256 of the key, which depends on
+neither the process nor ``PYTHONHASHSEED``.  Attach a store explicitly with
 :func:`configure_persistent_cache` or implicitly via the
 ``REPRO_CACHE_DIR`` environment variable (which is how forked/spawned fuzz
 workers inherit the cache directory).
@@ -38,17 +34,21 @@ import threading
 from collections import OrderedDict
 
 from ..dialects.builtin import ModuleOp
+from ..ir.printer import structural_key
 from .compiler import CompiledModule, compile_module
 from .pcache import DEFAULT_MAX_BYTES, PersistentStore
 
 
-def module_fingerprint(module: ModuleOp, text: str | None = None) -> str:
-    """Content hash of a module's structural serialization."""
-    if text is None:
-        from ..ir.printer import fingerprint_operation
+def module_fingerprint(module: ModuleOp, key: tuple | None = None) -> str:
+    """The stable digest of ``module``: SHA-256 of its structural key.
 
-        text = fingerprint_operation(module)
-    return hashlib.sha256(text.encode()).hexdigest()
+    ``key`` is ``structural_key(module)`` when the caller already holds it.
+    The key holds only ints and strings, so its ``repr`` is an unambiguous
+    encoding that no process or hash seed changes.
+    """
+    if key is None:
+        key = structural_key(module)
+    return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
 class _InFlight:
@@ -63,7 +63,7 @@ class _InFlight:
 
 
 class TraceCache:
-    """Bounded LRU mapping module fingerprints to compiled traces.
+    """Bounded LRU mapping structural keys to compiled traces.
 
     ``store`` (optional) is the persistent tier: in-memory misses consult
     it before compiling, and fresh compiles are published to it.  Its
@@ -84,9 +84,9 @@ class TraceCache:
     ) -> None:
         self.maxsize = maxsize
         self.store = store
-        self._entries: OrderedDict[str, CompiledModule] = OrderedDict()
+        self._entries: OrderedDict[tuple, CompiledModule] = OrderedDict()
         self._lock = threading.RLock()
-        self._in_flight: dict[object, _InFlight] = {}
+        self._in_flight: dict[tuple, _InFlight] = {}
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
@@ -103,64 +103,53 @@ class TraceCache:
     def attach_store(self, store: PersistentStore | None) -> None:
         self.store = store
 
-    def get(self, fingerprint: str) -> CompiledModule | None:
+    def get(self, key: tuple) -> CompiledModule | None:
         with self._lock:
-            entry = self._entries.get(fingerprint)
+            entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(fingerprint)
+                self._entries.move_to_end(key)
             return entry
 
-    def put(self, fingerprint: str, compiled: CompiledModule) -> None:
-        compiled.fingerprint = fingerprint
+    def put(self, key: tuple, compiled: CompiledModule) -> None:
         with self._lock:
-            self._entries[fingerprint] = compiled
-            self._entries.move_to_end(fingerprint)
+            self._entries[key] = compiled
+            self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
 
-    def _compile_miss(
-        self, module: ModuleOp, text: str | None, fingerprint
-    ) -> CompiledModule:
+    def _compile_miss(self, module: ModuleOp, key: tuple) -> CompiledModule:
         """The miss path proper: persistent tier, then a fresh compile."""
         store = self.store
         if store is not None:
-            # The persistent tier keys on the stable content hash even when
-            # the in-memory key is a process-local structural_key tuple.
-            stable = (
-                fingerprint
-                if isinstance(fingerprint, str)
-                else module_fingerprint(module, text)
-            )
-            compiled = store.load_trace(stable)
+            digest = module_fingerprint(module, key)
+            compiled = store.load_trace(digest)
             if compiled is None:
                 compiled = compile_module(module)
-                store.save_trace(stable, compiled)
+                store.save_trace(digest, compiled)
             return compiled
         return compile_module(module)
 
     def get_or_compile(
-        self, module: ModuleOp, text: str | None = None, key=None
+        self, module: ModuleOp, key: tuple | None = None
     ) -> CompiledModule:
         """The compiled trace for ``module``, compiling on first sight.
 
-        ``text`` lets callers that already printed the module (e.g. for an
-        outcome cache of their own) avoid printing it twice.  ``key`` lets
-        callers that already computed a structural key for the module
-        (:func:`repro.ir.structural_key`) skip fingerprinting entirely; any
-        hashable value works, and str/tuple keys never collide.
+        ``key`` is ``structural_key(module)`` when the caller already holds
+        it (the fuzz oracles key their own outcome cache with it).
         """
-        fingerprint = key if key is not None else module_fingerprint(module, text)
+        if key is None:
+            key = structural_key(module)
         while True:
             with self._lock:
-                entry = self._entries.get(fingerprint)
+                entry = self._entries.get(key)
                 if entry is not None:
-                    self._entries.move_to_end(fingerprint)
+                    self._entries.move_to_end(key)
                     self.hits += 1
                     return entry
-                flight = self._in_flight.get(fingerprint)
+                flight = self._in_flight.get(key)
                 if flight is None:
                     flight = _InFlight()
-                    self._in_flight[fingerprint] = flight
+                    self._in_flight[key] = flight
                     owner = True
                 else:
                     owner = False
@@ -178,17 +167,17 @@ class TraceCache:
                 continue
             self.misses += 1
             try:
-                compiled = self._compile_miss(module, text, fingerprint)
+                compiled = self._compile_miss(module, key)
             except BaseException as error:
                 flight.error = error
                 with self._lock:
-                    self._in_flight.pop(fingerprint, None)
+                    self._in_flight.pop(key, None)
                 flight.event.set()
                 raise
-            self.put(fingerprint, compiled)
+            self.put(key, compiled)
             flight.result = compiled
             with self._lock:
-                self._in_flight.pop(fingerprint, None)
+                self._in_flight.pop(key, None)
             flight.event.set()
             return compiled
 

@@ -98,15 +98,12 @@ class CompiledModule:
         functions: dict[str, CompiledFunction],
         declarations: frozenset[str],
         site_count: int,
-        fingerprint: str | None = None,
     ) -> None:
         self.functions = functions
         self.declarations = declarations
         #: how many setup/launch site numbers the ``OP_SETUP``/``OP_LAUNCH``
         #: tuples draw from (the source module's ``config_sites``)
         self.site_count = site_count
-        #: content hash of the source module text (set by the cache layer)
-        self.fingerprint = fingerprint
 
 
 def _int_mask(type_) -> int | None:

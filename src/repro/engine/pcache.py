@@ -4,11 +4,11 @@ In-process caches (the compiled-trace LRU in :mod:`.cache`, the generator's
 memory-image cache) evaporate at process exit, so ``fuzz --jobs N`` shards,
 two-phase CI jobs, and repeated experiment sweeps recompile the same modules
 over and over.  :class:`PersistentStore` is the on-disk tier underneath
-them: a directory of pickle entries, content-addressed by the same stable
-content hash the in-memory tier uses (:func:`repro.engine.cache.module_fingerprint`
-— the SHA-256 of the module's structural serialization; the hashed form of
-``structural_key``, whose raw tuples intern atoms per process and therefore
-cannot cross a process boundary).
+them: a directory of pickle entries, content-addressed by a module's stable
+digest (:func:`repro.engine.cache.module_fingerprint`, the SHA-256 of the
+``structural_key`` tuple that keys the in-memory tier).  Neither the key
+nor its digest depends on the process or ``PYTHONHASHSEED``, so an entry
+one process writes is found by the next.
 
 Design rules, each of which a robustness test pins down:
 
@@ -54,7 +54,8 @@ from .compiler import CompiledModule
 #: Version 2: setup/launch tuples carry site numbers, not ``None``.
 #: Version 3: runtime ops carry shared runtime records; ``OP_HOST`` replaces
 #: ``OP_FOREIGN`` and ``OP_TRAP`` is new.
-SCHEMA = "repro-cache/3"
+#: Version 4: traces are filed under the digest of ``structural_key``.
+SCHEMA = "repro-cache/4"
 
 #: Default size bound of one store directory (plenty for every fuzz/CI
 #: workload; a full 200-iteration three-backend fuzz run compiles ~2k
@@ -244,10 +245,7 @@ class PersistentStore:
 
     def load_trace(self, fingerprint: str) -> CompiledModule | None:
         payload = self.load("trace", fingerprint)
-        if not isinstance(payload, CompiledModule):
-            return None
-        payload.fingerprint = fingerprint
-        return payload
+        return payload if isinstance(payload, CompiledModule) else None
 
     def save_trace(self, fingerprint: str, compiled: CompiledModule) -> None:
         self.save("trace", fingerprint, compiled)

@@ -33,7 +33,6 @@ from .operation import IRError, Operation, UnregisteredOp, VerifyError
 from .parser import ParseError, Parser, parse_module, parse_operation
 from .printer import (
     Printer,
-    fingerprint_operation,
     format_attribute,
     print_operation,
     structural_key,
@@ -97,7 +96,6 @@ __all__ = [
     "Printer",
     "format_attribute",
     "print_operation",
-    "fingerprint_operation",
     "structural_key",
     "OP_REGISTRY",
     "register_custom_parser",

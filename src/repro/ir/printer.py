@@ -197,148 +197,56 @@ def print_operation(op: Operation) -> str:
     return printer.result()
 
 
-def fingerprint_operation(root: Operation) -> str:
-    """A compact, structurally lossless serialization for hashing.
-
-    Produces the same string for two modules iff the pretty printer would
-    (ops, operand/result wiring, attributes, types, and region structure all
-    serialize; value names come from a plain visit counter), but skips the
-    name-hint uniquing and indentation work that makes :class:`Printer`
-    expensive — this is the hot fingerprint path of the differential
-    oracles and the compiled-trace cache.
-    """
-    parts: list[str] = []
-    names: dict[SSAValue, str] = {}
-    type_strs: dict[Attribute, str] = {}
-    # Keyed by id(): attributes stay alive for the duration of the call (the
-    # module references them), and value-equal attributes format identically
-    # anyway, so an id-keyed memo is a pure cache.
-    attr_strs: dict[int, str] = {}
-
-    def value_name(value: SSAValue) -> str:
-        name = names.get(value)
-        if name is None:
-            name = str(len(names))
-            names[value] = name
-        return name
-
-    def type_str(type_attr) -> str:
-        text = type_strs.get(type_attr)
-        if text is None:
-            text = str(type_attr)
-            type_strs[type_attr] = text
-        return text
-
-    def attr_str(attr) -> str:
-        text = attr_strs.get(id(attr))
-        if text is None:
-            text = format_attribute(attr)
-            attr_strs[id(attr)] = text
-        return text
-
-    def emit_op(op: Operation) -> None:
-        operands = op._operands
-        if op.results:
-            parts.append(",".join(value_name(r) for r in op.results))
-            parts.append("=")
-        parts.append(op.op_name if isinstance(op, UnregisteredOp) else op.name)
-        parts.append("(" + ",".join(value_name(o) for o in operands) + ")")
-        if op.attributes:
-            parts.append(
-                "{"
-                + ",".join(
-                    f"{key}={attr_str(value)}"
-                    for key, value in op.attributes.items()
-                )
-                + "}"
-            )
-        parts.append(
-            ":"
-            + ",".join(type_str(o.type) for o in operands)
-            + ">"
-            + ",".join(type_str(r.type) for r in op.results)
-        )
-        for region in op.regions:
-            parts.append("[")
-            for block in region.blocks:
-                parts.append(
-                    "^("
-                    + ",".join(
-                        value_name(arg) + ":" + type_str(arg.type)
-                        for arg in block.args
-                    )
-                    + ")"
-                )
-                for nested in block.ops:
-                    emit_op(nested)
-                    parts.append(";")
-            parts.append("]")
-
-    emit_op(root)
-    return "".join(parts)
-
-
-#: Value-keyed attribute/type interning table for :func:`structural_key`.
-#: Ids are monotonically assigned and never reused (clearing would let a
-#: fresh attribute alias the id of an old one and corrupt long-lived caches
-#: keyed on structural keys).  Bounded in practice by the number of distinct
-#: attribute values a process ever creates.
-_ATOM_IDS: dict[Attribute, int] = {}
-
-
 def structural_key(root: Operation) -> tuple:
-    """A hashable structural key for caching, far cheaper than text.
+    """The identity of ``root``: a flat tuple of ints and strings.
 
-    Two operations get equal keys iff :func:`fingerprint_operation` would
-    serialize them identically (same op structure, SSA wiring, attributes,
-    types, and region nesting).  Instead of formatting strings, attributes
-    and types are interned to small ints via a value-keyed table, so the
-    key is a flat tuple of ints and interned op-name strings — tuple
-    hashing and equality are C-speed.  This is the hot cache-key path of
-    the differential oracles and the compiled-trace cache; keys are exact
-    (dict equality compares the full tuple), not lossy hashes.
+    Two operations get equal keys iff they have the same op structure, SSA
+    wiring, attributes, types and region nesting; value names come from a
+    visit counter.  Attributes and types enter as their
+    :func:`format_attribute` text, so a key depends on neither the process
+    nor ``PYTHONHASHSEED``, and :func:`repro.engine.cache.module_fingerprint`
+    digests it into the stable content hash.  Keys are exact (dict
+    equality compares the whole tuple), not lossy hashes: this is the
+    in-process key of the differential oracles and the compiled-trace cache.
     """
-    atom_ids = _ATOM_IDS
     parts: list = []
     append = parts.append
+    # A value is numbered at first sight by the count of values seen before.
     names: dict[SSAValue, int] = {}
+    number = names.setdefault
+    # Keyed by id(): the module keeps its attributes alive for the call,
+    # and equal attributes format alike, so the memo only saves formatting.
+    # A hit is read inline, ``text(id(attr)) or formatted(attr)``, which
+    # saves a call per atom.
+    texts: dict[int, str] = {}
+    text = texts.get
 
-    def atom_id(attr) -> int:
-        ident = atom_ids.get(attr)
-        if ident is None:
-            ident = len(atom_ids)
-            atom_ids[attr] = ident
-        return ident
-
-    def value_num(value: SSAValue) -> int:
-        num = names.get(value)
-        if num is None:
-            num = len(names)
-            names[value] = num
-        return num
+    def formatted(attr: Attribute) -> str:
+        texts[id(attr)] = atom = format_attribute(attr)
+        return atom
 
     def emit(op: Operation) -> None:
         for result in op.results:
-            append(value_num(result))
+            append(number(result, len(names)))
         append(op.op_name if isinstance(op, UnregisteredOp) else op.name)
         for operand in op._operands:
-            append(value_num(operand))
-            append(atom_id(operand.type))
+            append(number(operand, len(names)))
+            append(text(id(operand.type)) or formatted(operand.type))
         append(-1)
         if op.attributes:
             for key, value in op.attributes.items():
                 append(key)
-                append(atom_id(value))
+                append(text(id(value)) or formatted(value))
         append(-2)
         for result in op.results:
-            append(atom_id(result.type))
+            append(text(id(result.type)) or formatted(result.type))
         for region in op.regions:
             append(-3)
             for block in region.blocks:
                 append(-4)
                 for arg in block.args:
-                    append(value_num(arg))
-                    append(atom_id(arg.type))
+                    append(number(arg, len(names)))
+                    append(text(id(arg.type)) or formatted(arg.type))
                 append(-5)
                 for nested in block.ops:
                     emit(nested)

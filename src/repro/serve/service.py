@@ -73,7 +73,7 @@ from typing import Any
 from ..analysis import AnalysisManager
 from ..engine import TRACE_CACHE, module_fingerprint, run_module_traced
 from ..interp import Interpreter, InterpreterError
-from ..ir import parse_module, verify_operation
+from ..ir import parse_module, structural_key, verify_operation
 from ..passes import PIPELINES, pipeline_by_name
 from ..sim import CoSimulator
 from .protocol import (
@@ -642,13 +642,13 @@ class CompileService:
                 self.analyses.forget(module)
 
     def _op_compile(self, module, request: dict[str, Any]) -> dict[str, Any]:
-        fingerprint = module_fingerprint(module)
+        key = structural_key(module)
         # Publish the compiled trace into the shared cache so any tenant's
         # later simulate of the same module starts warm.
-        self.cache.get_or_compile(module, key=fingerprint)
+        self.cache.get_or_compile(module, key=key)
         return {
             "text": str(module),
-            "fingerprint": fingerprint,
+            "fingerprint": module_fingerprint(module, key),
             "ops": sum(1 for _ in module.walk()),
         }
 

@@ -94,6 +94,9 @@ class Timeline:
         self._instrs: list[Instr] = [] if instrs is None else instrs
         self._cost_model = cost_model or HostCostModel()
         self._log: list[tuple] = []
+        #: (log length, trace length, spans) of the last replay; the log and
+        #: the trace only grow, so equal lengths mean the spans still hold
+        self._replayed: tuple[int, int, list[Span]] = (0, 0, [])
 
     # -- recording -------------------------------------------------------
 
@@ -121,6 +124,14 @@ class Timeline:
     @property
     def spans(self) -> list[Span]:
         """Every span in the order it happened, as a new list."""
+        return list(self._replay())
+
+    def _replay(self) -> list[Span]:
+        """The spans, replayed only if the log or the trace grew since the
+        last replay; the readers share the list and must not mutate it."""
+        log_length, trace_length, spans = self._replayed
+        if log_length == len(self._log) and trace_length == len(self._instrs):
+            return spans
         instrs = self._instrs
         cycles_of = self._cost_model.cycles_by_category
         # (cycles, span kind) of each distinct record by identity, None for
@@ -154,33 +165,35 @@ class Timeline:
             else:
                 spans.append(entry[2])
         _host_spans(spans, costs, instrs[done:], time, "")
+        self._replayed = (len(self._log), len(instrs), spans)
         return spans
 
     # -- reading ---------------------------------------------------------
 
     @property
     def end_time(self) -> float:
-        return _end_time(self.spans)
+        return _end_time(self._replay())
 
     def actors(self) -> list[str]:
-        return _actors(self.spans)
+        return _actors(self._replay())
 
     def busy_time(self, actor: str, kind: SpanKind | None = None) -> float:
         # By index, kind first: a tuple subclass indexes faster than it
         # unpacks or reads a named field (CPython's fast paths take exact
         # tuples only), and the kind identity test rules out most spans.
         # The terms and their order are those of ``span.duration``.
+        spans = self._replay()
         if kind is None:
-            return sum(span[3] - span[2] for span in self.spans if span[0] == actor)
+            return sum(span[3] - span[2] for span in spans if span[0] == actor)
         return sum(
             span[3] - span[2]
-            for span in self.spans
+            for span in spans
             if span[1] is kind and span[0] == actor
         )
 
     def idle_time(self, actor: str) -> float:
         """Time within [0, end_time) the actor spent doing nothing at all."""
-        spans = self.spans
+        spans = self._replay()
         intervals = sorted(
             (span.start, span.end) for span in spans if span.actor == actor
         )
@@ -199,7 +212,7 @@ class Timeline:
         Glyphs: ``C`` config writes, ``c`` parameter calculation, ``h`` other
         host work, ``.`` stall, ``X`` accelerator compute, space = idle.
         """
-        spans = self.spans
+        spans = self._replay()
         total = _end_time(spans)
         if total <= 0:
             return "(empty timeline)"

@@ -45,10 +45,11 @@ Pipelines run with per-pass verification off and a single post-pipeline
 verify; when that verify fails, the pipeline is re-run on a fresh clone with
 per-pass verification to attribute the corruption to the offending pass.
 Optimized modules are then keyed by :func:`repro.ir.structural_key` (an
-exact, hashable structural key — no text formatting or hashing): distinct
+exact tuple of ints and strings from one walk of the module): distinct
 pipelines routinely converge to identical IR, and key hits skip execution
 and linting entirely — the key is also handed to the engine's
-compiled-trace cache so the module is never serialized twice.
+compiled-trace cache, whose in-memory tier uses the same key, so the
+module is never walked twice.
 
 Engines
 -------
@@ -497,7 +498,7 @@ class _SubjectRunner:
         return module
 
     def _check_driver_equivalence(
-        self, name: str, factory: Callable[[], PassManager], fingerprint
+        self, name: str, factory: Callable[[], PassManager], key
     ) -> OracleFailure | None:
         """Re-run the pipeline under the legacy sweep driver and compare.
 
@@ -519,7 +520,7 @@ class _SubjectRunner:
                 f"sweep driver raised {type(error).__name__}: {error} "
                 "where the worklist driver succeeded",
             )
-        if structural_key(sweep_module) != fingerprint:
+        if structural_key(sweep_module) != key:
             return OracleFailure(
                 "driver-divergence",
                 name,
@@ -550,14 +551,14 @@ class _SubjectRunner:
                 # No passes to run: the base module *is* this pipeline's
                 # output (it is never mutated, so no clone is needed).
                 module = self.base_module
-            fingerprint = structural_key(module)
+            key = structural_key(module)
             if ran_passes and factory is not None and active_driver() == "both":
                 failure = self._check_driver_equivalence(
-                    name, factory, fingerprint
+                    name, factory, key
                 )
                 if failure is not None:
                     extras.append(failure)
-            cached = self.outcomes.get(fingerprint)
+            cached = self.outcomes.get(key)
             if cached is not None:
                 # An identical module already verified, executed, and linted
                 # for this subject — nothing about this run can differ.
@@ -575,7 +576,7 @@ class _SubjectRunner:
             if memory is None or args is None:
                 memory, args = _fresh_memory(self.subject)
             results, sim = _execute(
-                module, memory, args, self.engine, fingerprint
+                module, memory, args, self.engine, key
             )
             if cross_check:
                 divergence = _cross_check(
@@ -612,7 +613,7 @@ class _SubjectRunner:
             },
             lint_errors=lint_errors,
         )
-        self.outcomes[fingerprint] = outcome
+        self.outcomes[key] = outcome
         return outcome, extras
 
 

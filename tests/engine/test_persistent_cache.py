@@ -56,7 +56,6 @@ class TestRoundTrip:
         loaded = PersistentStore(str(tmp_path)).load_trace(key)
         assert loaded is not None
         assert loaded.site_count == 2  # one setup, one launch
-        assert loaded.fingerprint == key
         sim = CoSimulator(functional=False)
         from repro.engine import TraceExecutor
 
@@ -116,7 +115,8 @@ class TestCorruptionTolerance:
         # Version 1 stored setups and launches without their site numbers;
         # such an entry must never reach a faulted run.  Version 2 stored
         # flat protocol tuples, which today's executor cannot unpack.
-        for old in ("repro-cache/1", "repro-cache/2"):
+        # Version 3 filed traces under the digest of another serialization.
+        for old in ("repro-cache/1", "repro-cache/2", "repro-cache/3"):
             store = PersistentStore(str(tmp_path / old.replace("/", "-")))
             entry = {
                 "schema": old,
@@ -293,6 +293,8 @@ class TestCacheIntegration:
         assert second.store.hits == 1
 
     def test_faulted_run_uses_the_disk_entry(self, tmp_path, monkeypatch):
+        from repro.ir import structural_key
+
         TraceCache(store=PersistentStore(str(tmp_path))).get_or_compile(
             parse_module(PROGRAM)
         )
@@ -310,7 +312,7 @@ class TestCacheIntegration:
         )
         assert run_module_traced(module, sim, args=[1], cache=cache)[0] == [4]
         assert cache.store.hits == 1
-        assert cache.get(module_fingerprint(module)) is not None
+        assert cache.get(structural_key(module)) is not None
 
 
 class TestImageCachePersistence:

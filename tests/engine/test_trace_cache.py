@@ -2,7 +2,12 @@
 entries that hold no IR."""
 
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import weakref
 
 from repro.engine import TraceCache, compile_module, module_fingerprint
@@ -25,6 +30,24 @@ func.func @main(%x : i64) -> (i64) {
 
 def parse(text: str = PROGRAM):
     return parse_module(text)
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+# Prints each shipped example's IR text with its digest, as JSON.
+DIGEST_CHILD = textwrap.dedent(
+    """
+    import json, sys
+    sys.path.insert(0, "tools")
+    from lint_examples import example_modules
+    from repro.engine import module_fingerprint
+    from repro.ir import parse_module
+    print(json.dumps({
+        name: [text, module_fingerprint(parse_module(text))]
+        for name, text in example_modules().items()
+    }))
+    """
+)
 
 
 class TestGetOrCompile:
@@ -87,6 +110,32 @@ class TestInvalidation:
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
+
+
+class TestStableDigest:
+    def test_digest_depends_on_neither_process_nor_hash_seed(self):
+        runs = []
+        for seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONPATH=os.path.join(REPO, "src"),
+                PYTHONHASHSEED=seed,
+            )
+            env.pop("REPRO_CACHE_DIR", None)
+            child = subprocess.run(
+                [sys.executable, "-c", DIGEST_CHILD],
+                capture_output=True,
+                text=True,
+                cwd=REPO,
+                env=env,
+                timeout=120,
+            )
+            assert child.returncode == 0, child.stderr
+            runs.append(json.loads(child.stdout.splitlines()[-1]))
+        assert runs[0] == runs[1]
+        assert len(runs[0]) == 7
+        for text, digest in runs[0].values():
+            assert module_fingerprint(parse(text)) == digest
 
 
 class TestEviction:

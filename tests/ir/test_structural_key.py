@@ -72,8 +72,8 @@ class TestInequality:
 
 class TestAtomInterning:
     def test_atom_ids_are_stable_across_modules(self):
-        # The process-global atom table must assign the same id to equal
-        # attributes/types every time, or long-lived caches would corrupt.
+        # Attributes and types enter the key as their text, memoized only
+        # within one call, so equal modules get equal keys every time.
         first = structural_key(parse(PROGRAM))
         for _ in range(3):
             assert structural_key(parse(PROGRAM)) == first

@@ -288,3 +288,32 @@ def test_stalls_from_a_non_integral_start():
     assert_replay_matches(sim)
     # Both waits and the sync record's cycle.
     assert sim.host_stall_cycles == pytest.approx(0.3 + 0.25 + 1)
+
+
+def test_reads_between_steps_see_every_step():
+    """Reads keep one replay until the trace or the log grows (an inline
+    charge grows only the trace, a stall only the log), and the list
+    ``spans`` returns is the caller's to change."""
+    sim = EagerSimulator()
+    spec = get_accelerator("toyvec")
+    calc = Instr("addi", InstrCategory.CALC)
+
+    def inline_charge():  # as the trace engine's dispatch loop does
+        sim.host_time += sim.cost_model.cycles(calc)
+        sim.trace.instrs.append(calc)
+
+    steps = (
+        lambda: sim.charge(spec.setup_instrs_cached(tuple(spec.fields)), "setup"),
+        inline_charge,
+        lambda: sim.stall_until(sim.host_time + 2, "wait"),
+        lambda: sim.exec_launch("toyvec"),
+        inline_charge,
+        lambda: sim.charge(spec.sync_instrs_cached(), "await"),
+    )
+    for step in steps:
+        step()
+        assert sim.timeline.end_time == max(span.end for span in sim.eager)
+        assert_replay_matches(sim)
+        read = sim.timeline.spans
+        read.clear()
+        assert sim.timeline.spans == sim.eager
