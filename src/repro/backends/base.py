@@ -23,6 +23,8 @@ import functools
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..isa.encoding import FieldSpec
 from ..isa.instructions import HostCostModel, Instr
 
@@ -188,6 +190,30 @@ class AcceleratorSpec(ABC):
     def __repr__(self) -> str:
         kind = "concurrent" if self.concurrent_config else "sequential"
         return f"<AcceleratorSpec {self.name} ({kind}, {self.peak_ops_per_cycle} ops/cycle)>"
+
+
+def int8_matmul(
+    a: np.ndarray, b: np.ndarray, a_zero: int = 0, b_zero: int = 0
+) -> np.ndarray:
+    """``(a - a_zero) @ (b - b_zero)`` of int8 matrices, as numpy's int32
+    product computes it, wraparound included.
+
+    Each term is at most ``(128 + |a_zero|) * (128 + |b_zero|)`` in
+    magnitude.  While ``K`` of them stay below 2**31, every product and
+    partial sum is an integer that float64 holds exactly, in any summation
+    order, and the result fits int32: the product then runs through
+    float64 BLAS, several times faster than numpy's int32 loop, and casts
+    exactly.  Past that bound the int32 product runs and wraps.
+    """
+    if a.shape[-1] * (128 + abs(a_zero)) * (128 + abs(b_zero)) < 2**31:
+        a = a.astype(np.float64)
+        b = b.astype(np.float64)
+        if a_zero:
+            a -= a_zero
+        if b_zero:
+            b -= b_zero
+        return (a @ b).astype(np.int32)
+    return (a.astype(np.int32) - a_zero) @ (b.astype(np.int32) - b_zero)
 
 
 _REGISTRY: dict[str, AcceleratorSpec] = {}

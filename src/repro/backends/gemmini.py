@@ -26,7 +26,7 @@ import numpy as np
 
 from ..isa.encoding import FieldSpec, pack_fields
 from ..isa.instructions import Instr, InstrCategory, config_write
-from .base import AcceleratorSpec, register_accelerator
+from .base import AcceleratorSpec, int8_matmul, register_accelerator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.memory import Memory
@@ -246,7 +246,7 @@ class GemminiSpec(AcceleratorSpec):
         )
         if config.get("B_transpose"):
             b = b.T
-        acc = a.astype(np.int32) @ b.astype(np.int32)
+        acc = int8_matmul(a, b)
         d_addr = config.get("D", 0)
         if d_addr:
             acc = acc + memory.read_matrix(
@@ -264,7 +264,7 @@ class GemminiSpec(AcceleratorSpec):
         stride_c = config.get("stride_C", dim)
         a = memory.read_matrix(config["ld_addr"], dim, dim, stride_a, np.int8)
         b = memory.read_matrix(config["preload_addr"], dim, dim, stride_b, np.int8)
-        product = a.astype(np.int32) @ b.astype(np.int32)
+        product = int8_matmul(a, b)
         if config.get("acc"):
             product = product + memory.read_matrix(
                 config["st_addr"], dim, dim, stride_c, np.int32

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..isa.encoding import FieldSpec
 from ..isa.instructions import Instr, config_write, launch_instr, sync_instr
-from .base import AcceleratorSpec, register_accelerator
+from .base import AcceleratorSpec, int8_matmul, register_accelerator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.memory import Memory
@@ -143,11 +143,11 @@ class OpenGeMMSpec(AcceleratorSpec):
         b_zp = (subtraction >> 8) & 0xFF
         a = memory.read_matrix(
             config["ptr_A"], m, k, config.get("stride_A", k), np.int8
-        ).astype(np.int32)
+        )
         b = memory.read_matrix(
             config["ptr_B"], k, n, config.get("stride_B", n), np.int8
-        ).astype(np.int32)
-        acc = (a - a_zp) @ (b - b_zp)
+        )
+        acc = int8_matmul(a, b, a_zp, b_zp)
         memory.write_matrix(config["ptr_C"], acc, config.get("stride_C", n))
 
 

@@ -101,9 +101,12 @@ class TraceExecutor(AccfgRuntime):
     # -- dispatch loop ---------------------------------------------------
 
     def _resolve(self, instr) -> tuple:
-        """Enter a record seen for the first time into the cost table."""
-        entry = (self.sim.cost_model.cycles(instr), instr)
+        """Enter a record seen for the first time into the cost table and
+        the trace's record table."""
+        sim = self.sim
+        entry = (sim.cost_model.cycles(instr), instr)
         self._cost[id(instr)] = entry
+        sim.trace.records[id(instr)] = instr
         return entry
 
     def _exec(self, fn: CompiledFunction, frame: list) -> list:

@@ -20,6 +20,13 @@ class Trace:
     """An append-only log of executed host instructions."""
 
     instrs: list[Instr] = field(default_factory=list)
+    #: id(record) -> record for the records the charging paths entered as
+    #: they first charged them (a shared stream once, a one-off list each
+    #: time); the table holds each record, so its id cannot be reused.
+    #: :meth:`stats` reads counted records back from it.
+    records: dict[int, Instr] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def append(self, instr: Instr) -> None:
         self.instrs.append(instr)
@@ -55,10 +62,14 @@ class Trace:
         cost_model = cost_model or HostCostModel()
         # Engines append the same record object over and over, so one pass
         # over the distinct records (counted by identity, in C) replaces a
-        # visit per executed instruction.
+        # visit per executed instruction.  The counted records come back
+        # from ``records``; a trace built with ``append``/``extend`` has
+        # records that were never entered there, and pays a second pass.
         instrs = self.instrs
         repeats = Counter(map(id, instrs))
-        record_of = dict(zip(map(id, instrs), instrs))
+        record_of = self.records
+        if not record_of.keys() >= repeats.keys():
+            record_of = dict(zip(map(id, instrs), instrs))
         counts = dict.fromkeys(InstrCategory, 0)
         charged: dict[InstrCategory, list] = {c: [] for c in InstrCategory}
         config_bytes = 0

@@ -112,10 +112,12 @@ class CoSimulator:
             entry = self._plans.get(id(instrs))
             if entry is None:
                 entry = self._plans[id(instrs)] = (self._plan(instrs), instrs)
+                self.trace.records.update(zip(map(id, instrs), instrs))
             plan = entry[0]
         else:
-            instrs = list(instrs)  # any iterable, read twice below
+            instrs = list(instrs)  # any iterable, read more than once below
             plan = self._plan(instrs)
+            self.trace.records.update(zip(map(id, instrs), instrs))
         time = self.host_time
         for cycles, stall in plan:
             end = time + cycles
@@ -204,7 +206,9 @@ class CoSimulator:
                     device.spec.launch_field_instrs_cached(tuple(launch_fields)),
                     device.launch_config_label,
                 )
-            self.charge(device.spec.launch_instrs_cached(), device.launch_label)
+            launch = device.spec.launch_instrs_cached()
+            if launch:  # empty for a launch-semantic interface (Gemmini)
+                self.charge(launch, device.launch_label)
         token = device.launch(
             self.host_time, launch_fields or {}, functional=self.functional
         )
@@ -411,7 +415,9 @@ class CoSimulator:
                     device.spec.launch_field_instrs_cached(tuple(launch_fields)),
                     device.launch_config_label,
                 )
-            self.charge(device.spec.launch_instrs_cached(), device.launch_label)
+            launch = device.spec.launch_instrs_cached()
+            if launch:
+                self.charge(launch, device.launch_label)
             # Acknowledge read: did the interface accept the command?
             self.charge_one(
                 sync_instr("launch-ack", device.name),

@@ -30,9 +30,6 @@ class RectMatmulWorkload(MatmulWorkload):
     def total_ops(self) -> int:  # type: ignore[override]
         return 2 * self.m * self.k * self.n
 
-    def expected(self) -> np.ndarray:  # type: ignore[override]
-        return self.a.array.astype(np.int32) @ self.b.array.astype(np.int32)
-
 
 def build_opengemm_rect_matmul(
     m: int, k: int, n: int, memory: Memory | None = None, seed: int = 0

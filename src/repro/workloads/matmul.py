@@ -17,6 +17,7 @@ import numpy as np
 
 from ..backends import gemmini as gemmini_backend
 from ..backends import opengemm as opengemm_backend
+from ..backends.base import int8_matmul
 from ..dialects.builtin import ModuleOp
 from ..ir.attributes import index
 from ..sim.memory import Buffer, Memory
@@ -41,7 +42,7 @@ class MatmulWorkload:
         return 2 * self.size**3
 
     def expected(self) -> np.ndarray:
-        return self.a.array.astype(np.int32) @ self.b.array.astype(np.int32)
+        return int8_matmul(self.a.array, self.b.array)
 
     def result(self) -> np.ndarray:
         return self.c.array

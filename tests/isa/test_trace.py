@@ -4,6 +4,11 @@ import random
 
 import pytest
 
+from repro.backends import get_accelerator
+from repro.engine import run_module_traced
+from repro.experiments import fig10_gemmini, fig11_opengemm
+from repro.faults import FaultInjector, FaultRates, ReliancePlan
+from repro.interp import InterpreterError, run_module
 from repro.isa import (
     HostCostModel,
     Instr,
@@ -16,6 +21,10 @@ from repro.isa import (
     sync_instr,
 )
 from repro.isa.trace import TraceStats
+from repro.passes import pipeline_by_name
+from repro.sim import CoSimulator
+from repro.testing.generator import PROFILES, build_spec, generate_spec
+from repro.workloads import build_gemmini_matmul, build_opengemm_matmul
 
 
 class TestInstr:
@@ -198,3 +207,87 @@ class TestStatsDefinition:
         for category, cycles in expected.cycles_by_category.items():
             got = stats.cycles_by_category[category]
             assert (type(got), repr(got)) == (type(cycles), repr(cycles))
+
+
+def _counted_outside_table(trace: Trace) -> list[Instr]:
+    return [instr for instr in trace.instrs if id(instr) not in trace.records]
+
+
+class TestRecordTable:
+    """The charging paths enter every record they charge into the trace's
+    record table, so :meth:`Trace.stats` reads the counted records back
+    from it instead of taking a second pass over the trace."""
+
+    @staticmethod
+    def _run(engine, built, sim):
+        try:
+            engine(built.module, sim, args=list(built.args))
+        except InterpreterError:
+            pass  # a run a fault ends early keeps what it charged
+
+    @pytest.mark.parametrize("engine", [run_module_traced, run_module])
+    @pytest.mark.parametrize(
+        "build, pipeline",
+        [
+            (build_gemmini_matmul, fig10_gemmini.OPTIMIZED_PIPELINE),
+            (build_gemmini_matmul, fig10_gemmini.BASELINE_PIPELINE),
+            (build_opengemm_matmul, fig11_opengemm.VARIANTS[-1]),
+        ],
+    )
+    def test_figure_program(self, engine, build, pipeline):
+        workload = build(32)
+        pipeline_by_name(pipeline).run(workload.module)
+        model = get_accelerator(workload.accelerator).host_cost_model()
+        sim = CoSimulator(memory=workload.memory, cost_model=model)
+        engine(workload.module, sim, args=workload.main_args)
+        assert workload.check()
+        assert sim.trace.instrs
+        assert _counted_outside_table(sim.trace) == []
+        assert sim.trace.stats(model, workload.accelerator) == (
+            _per_instruction_stats(sim.trace, model, workload.accelerator)
+        )
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("engine", [run_module_traced, run_module])
+    def test_generated_programs(self, engine, faults):
+        """Every backend; fault-injected runs add the one-off verify and
+        epoch-check charges."""
+        runs = 0
+        for backend in sorted(PROFILES):
+            for seed in range(10):
+                spec = generate_spec(random.Random(7000 + seed), backend)
+                built = build_spec(spec, memory_seed=seed)
+                pipeline = ("none", "baseline", "dedup", "overlap", "full")[seed % 5]
+                pipeline_by_name(pipeline).run(built.module)
+                sim = CoSimulator(
+                    memory=built.memory,
+                    faults=FaultInjector(seed, FaultRates.uniform(0.15))
+                    if faults
+                    else None,
+                    reliance=ReliancePlan(built.module) if faults else None,
+                )
+                self._run(engine, built, sim)
+                assert _counted_outside_table(sim.trace) == [], (backend, seed)
+                assert sim.trace.stats(sim.cost_model) == _per_instruction_stats(
+                    sim.trace, sim.cost_model
+                )
+                runs += bool(sim.trace.instrs)
+        assert runs >= 25
+
+    def test_a_record_missing_from_the_table_takes_the_second_pass(self):
+        sim = CoSimulator()
+        spec = get_accelerator("toyvec")
+        sim.charge(spec.setup_instrs_cached(tuple(spec.fields)))
+        sim.trace.append(alu())  # appended by hand: never entered
+        sim.trace.append(config_write("csrw", "toyvec", 4))
+        assert len(_counted_outside_table(sim.trace)) == 2
+        for accelerator in (None, "toyvec"):
+            assert sim.trace.stats(sim.cost_model, accelerator) == (
+                _per_instruction_stats(sim.trace, sim.cost_model, accelerator)
+            )
+
+    def test_the_table_is_not_part_of_equality(self):
+        sim = CoSimulator()
+        sim.charge_one(alu())
+        assert sim.trace.records
+        assert sim.trace == Trace(list(sim.trace.instrs))
