@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, TypeVar
 from ..dialects import accfg, arith, func, scf
 from ..ir.operation import Operation, UnregisteredOp
 from ..ir.ssa import BlockArgument, SSAValue
-from ..isa.instructions import CTRL_INSTR, Instr, InstrCategory
+from ..isa.instructions import CTRL_PAIR_STREAM, CTRL_STREAM, Instr, InstrCategory
 
 K = TypeVar("K")
 
@@ -821,8 +821,6 @@ class CostAnalysis:
     """
 
     def __init__(self, module: Operation) -> None:
-        from ..interp.interpreter import config_feeding_ops
-
         self.module = module
         self._functions: dict[str, func.FuncOp] = {}
         # Functions are the module's top-level ops (func.func verifies
@@ -832,7 +830,7 @@ class CostAnalysis:
                 for op in block.ops:
                     if isinstance(op, func.FuncOp):
                         self._functions.setdefault(op.sym_name, op)
-        self._feeding = config_feeding_ops(module)
+        self._feeding = accfg.config_feeding_ops(module)
         self._summaries: dict[str, FunctionCostSummary] = {}
         self._in_progress: set[str] = set()
 
@@ -879,16 +877,14 @@ def _as_vector(cost: "_Tally | CostVector") -> CostVector:
     return cost.vector() if isinstance(cost, _Tally) else cost
 
 
-_SCALAR_OPS = (arith.ConstantOp, arith.BinaryOp, arith.CmpiOp, arith.SelectOp)
-#: what one scalar op charges: a config-feeding one calc, any other compute
-_CALC = _price((Instr("alu", InstrCategory.CALC),))
-_COMPUTE = _price((Instr("alu", InstrCategory.COMPUTE),))
-#: a branch or a reset; a loop back-edge (increment + compare&branch) or a
-#: call (call + return jumps)
-_CTRL_STREAM = (CTRL_INSTR,)
-_CTRL_PAIR_STREAM = (CTRL_INSTR, CTRL_INSTR)
-_CTRL = _price(_CTRL_STREAM)
-_CTRL_PAIR = _price(_CTRL_PAIR_STREAM)
+#: what one scalar op charges, by its record's category (charges are keyed
+#: by accelerator and category, so the mnemonic does not matter here)
+_SCALAR = {
+    category: _price((Instr("alu", category),))
+    for category in (InstrCategory.CALC, InstrCategory.COMPUTE)
+}
+_CTRL = _price(CTRL_STREAM)
+_CTRL_PAIR = _price(CTRL_PAIR_STREAM)
 
 
 class _Specs(dict[str, "AcceleratorSpec | None"]):
@@ -1001,8 +997,8 @@ class _FunctionWalker:
     # tallying nothing, for an op on an unknown accelerator, which
     # :meth:`_nested_cost` prices with every other op.
 
-    def _charge_scalar(self, op: Operation, tally: _Tally) -> bool:
-        tally.add(_CALC if op in self._feeding else _COMPUTE)
+    def _charge_scalar(self, op: arith.ScalarOp, tally: _Tally) -> bool:
+        tally.add(_SCALAR[arith.charged_instr(op, self._feeding).category])
         return True
 
     def _charge_nothing(self, op: Operation, tally: _Tally) -> bool:
@@ -1049,7 +1045,7 @@ class _FunctionWalker:
             if isinstance(state_type, accfg.StateType)
             else "?"
         )
-        self._record_site(op, "reset", accelerator, _CTRL_STREAM, tally)
+        self._record_site(op, "reset", accelerator, CTRL_STREAM, tally)
         return True
 
     def _charge_host(self, op: Operation, tally: _Tally) -> bool:
@@ -1102,7 +1098,7 @@ class _FunctionWalker:
                 return None
             per_iteration = body.vector()
         else:
-            per_iteration = body + CostVector.for_instrs(_CTRL_PAIR_STREAM)
+            per_iteration = body + CostVector.for_instrs(CTRL_PAIR_STREAM)
         return per_iteration.scale(self.trip_range(op))
 
     def _branch_cost(self, op: scf.IfOp, tally: _Tally) -> CostVector | None:
@@ -1119,10 +1115,10 @@ class _FunctionWalker:
             tally.add_join(then_cost, else_cost)
             return None
         branch = _as_vector(then_cost).join(_as_vector(else_cost))
-        return CostVector.for_instrs(_CTRL_STREAM) + branch
+        return CostVector.for_instrs(CTRL_STREAM) + branch
 
     def _call_cost(self, op: func.CallOp) -> CostVector:
-        overhead = CostVector.for_instrs(_CTRL_PAIR_STREAM)
+        overhead = CostVector.for_instrs(CTRL_PAIR_STREAM)
         callee = self.analysis._functions.get(op.callee)
         if callee is None or callee.is_declaration:
             return overhead + CostVector.unmodeled_op(
@@ -1157,7 +1153,7 @@ _Rule = Callable[[_FunctionWalker, Any, _Tally], bool]
 def _rule_for(kind: type) -> "_Rule | None":
     """The charging rule for ops of class ``kind`` (None: not a
     straight-line op)."""
-    if issubclass(kind, _SCALAR_OPS):
+    if issubclass(kind, arith.ScalarOp):
         return _FunctionWalker._charge_scalar
     if issubclass(kind, (scf.YieldOp, func.ReturnOp)):
         return _FunctionWalker._charge_nothing

@@ -15,8 +15,9 @@ host-controlled accelerators:
 
 The dialect also defines the ``#accfg.effects<all|none>`` escape hatches: an
 annotation on foreign ops declaring whether they clobber accelerator state.
-:func:`host_effect` describes what a host-side op does when executed, for
-the execution engines and the cost engine alike.
+:func:`host_effect` describes what a host-side op does when executed, and
+:func:`config_feeding_ops` which scalar ops compute configuration
+parameters, for the execution engines and the cost engine alike.
 """
 
 from __future__ import annotations
@@ -571,3 +572,24 @@ def config_sites(root: Operation) -> list[Operation]:
     for the same module resolves it back, so a compiled trace holds no IR.
     """
     return [op for op in root.walk_list() if isinstance(op, (SetupOp, LaunchOp))]
+
+
+def config_feeding_ops(root: Operation) -> set[Operation]:
+    """Ops whose results flow (transitively) into setup/launch fields."""
+    feeding: set[Operation] = set()
+    worklist: list[SSAValue] = []
+    for op in config_sites(root):
+        if isinstance(op, SetupOp):
+            worklist.extend(op.field_values)
+        else:
+            worklist.extend(value for _, value in op.fields)
+    while worklist:
+        value = worklist.pop()
+        owner = value.owner
+        if not isinstance(owner, Operation) or owner in feeding:
+            continue
+        if owner.regions:
+            continue  # stop at structured ops; their interiors are control
+        feeding.add(owner)
+        worklist.extend(owner.operands)
+    return feeding

@@ -6,9 +6,19 @@ the bit-packing of configuration fields (paper, Listing 1 and Section 4.4).
 Each op provides a ``fold`` hook used by the canonicalization pass; constant
 folding of bit-packing is one of the "free" optimizations accfg unlocks
 (Section 5.2).
+
+Every op here is a :class:`ScalarOp` and declares once what executing it
+means: the host record it charges (``mnemonic``, see :func:`charged_instr`)
+and, for a two-operand op, its value ``evaluate(lhs, rhs)``.  Both
+execution engines and the static cost engine read these declarations, and
+``fold`` evaluates through the same function, so none of them can drift.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import cache, partial
+from typing import Callable, Collection
 
 from ..ir.attributes import (
     Attribute,
@@ -18,25 +28,61 @@ from ..ir.attributes import (
     TypeAttribute,
     i1,
 )
-from ..ir.operation import Operation, VerifyError
+from ..ir.operation import InterpreterError, Operation, VerifyError
 from ..ir.printer import Printer
 from ..ir.registry import register_custom_parser, register_op
 from ..ir.ssa import SSAValue
 from ..ir.traits import Pure
+from ..isa.instructions import Instr, InstrCategory, scalar_instr
+
+#: bits of an ``index`` value on the RV64 host: what signed compares read
+#: and how far a shift may go (index arithmetic itself is unbounded)
+INDEX_BITS = 64
 
 
-def _type_width_mask(type: TypeAttribute) -> int | None:
+def width_mask(type: TypeAttribute) -> int | None:
+    """The wrap-around mask of ``type`` (None for ``index``, which is
+    modelled as an unbounded Python int)."""
     if isinstance(type, IntegerType):
         return (1 << type.width) - 1
-    return None  # index: model as unbounded Python int
+    return None
 
 
 def truncate_to_type(value: int, type: TypeAttribute) -> int:
     """Wrap ``value`` to the unsigned range of ``type`` (two's complement)."""
-    mask = _type_width_mask(type)
-    if mask is None:
-        return value
-    return value & mask
+    mask = width_mask(type)
+    return value if mask is None else value & mask
+
+
+class DivisionByZero(InterpreterError, ZeroDivisionError):
+    """Division or remainder by zero: a program error, and a
+    ``ZeroDivisionError`` like Python's own."""
+
+
+class ScalarOp(Operation):
+    """A host scalar op.
+
+    ``mnemonic`` names the record one execution charges
+    (:func:`charged_instr`).  A two-operand op also declares its value:
+    ``op.evaluate(lhs, rhs)`` of the two operand ints, before wrapping to
+    the result type (:func:`width_mask`).  It raises
+    :class:`~repro.ir.operation.InterpreterError` for a trap, and it must
+    pickle, because compiled traces hold it.
+    """
+
+    traits = frozenset([Pure()])
+    mnemonic: str
+
+
+def charged_instr(op: ScalarOp, config_feeding: Collection[Operation]) -> Instr:
+    """The record one execution of ``op`` charges: configuration-parameter
+    calculation when its result feeds a setup or launch field (an op in
+    ``config_feeding``, see :func:`repro.dialects.accfg.config_feeding_ops`),
+    host compute otherwise."""
+    return scalar_instr(
+        op.mnemonic,
+        InstrCategory.CALC if op in config_feeding else InstrCategory.COMPUTE,
+    )
 
 
 #: interned ``value`` attributes — constants repeat heavily (loop bounds,
@@ -48,11 +94,11 @@ _INTERNED_VALUES: dict[tuple[int, TypeAttribute], IntegerAttr] = {}
 
 
 @register_op
-class ConstantOp(Operation):
+class ConstantOp(ScalarOp):
     """An integer constant: ``%c = arith.constant 5 : i64``."""
 
     name = "arith.constant"
-    traits = frozenset([Pure()])
+    mnemonic = "li"
     custom_printed_attrs = frozenset(["value"])
 
     @staticmethod
@@ -92,11 +138,19 @@ def _parse_constant(parser) -> ConstantOp:
     return ConstantOp.create(value, type)
 
 
-class BinaryOp(Operation):
-    """Base for two-operand, one-result integer ops of uniform type."""
+class BinaryOp(ScalarOp):
+    """Base for two-operand, one-result integer ops of uniform type.
 
-    traits = frozenset([Pure()])
+    Defining a subclass registers its parser, and its mnemonic is the
+    op-name suffix (``arith.addi`` charges ``addi``).
+    """
+
     commutative: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.mnemonic = cls.name.split(".")[-1]
+        register_custom_parser(cls.name)(_binary_parser(cls))
 
     @classmethod
     def create(cls, lhs: SSAValue, rhs: SSAValue) -> "BinaryOp":
@@ -131,23 +185,17 @@ class BinaryOp(Operation):
 
     # -- folding -------------------------------------------------------------
 
-    def _operand_constants(self) -> tuple[int | None, int | None]:
-        consts: list[int | None] = []
-        for operand in self.operands:
-            owner = operand.owner
-            if isinstance(owner, ConstantOp):
-                consts.append(owner.value)
-            else:
-                consts.append(None)
-        return consts[0], consts[1]
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
+    @staticmethod
+    def evaluate(lhs: int, rhs: int) -> int:
         raise NotImplementedError
 
     def fold(self):
-        lhs_const, rhs_const = self._operand_constants()
+        lhs_const, rhs_const = constant_value(self.lhs), constant_value(self.rhs)
         if lhs_const is not None and rhs_const is not None:
-            value = self.evaluate(lhs_const, rhs_const)
+            try:
+                value = self.evaluate(lhs_const, rhs_const)
+            except InterpreterError:
+                return None  # do not fold a trap
             return [IntegerAttr(truncate_to_type(value, self.result.type), self.result.type)]
         return self.fold_identities(lhs_const, rhs_const)
 
@@ -174,9 +222,7 @@ class AddiOp(BinaryOp):
 
     name = "arith.addi"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs + rhs
+    evaluate = operator.add
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 0:
@@ -191,9 +237,7 @@ class SubiOp(BinaryOp):
     """Integer subtraction (wrapping)."""
 
     name = "arith.subi"
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs - rhs
+    evaluate = operator.sub
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 0:
@@ -209,9 +253,7 @@ class MuliOp(BinaryOp):
 
     name = "arith.muli"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs * rhs
+    evaluate = operator.mul
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 1:
@@ -229,22 +271,13 @@ class DivuiOp(BinaryOp):
 
     name = "arith.divui"
 
-    def evaluate(self, lhs: int, rhs: int) -> int:
+    @staticmethod
+    def evaluate(lhs: int, rhs: int) -> int:
         if rhs == 0:
-            raise ZeroDivisionError("arith.divui by zero")
+            raise DivisionByZero("arith.divui by zero")
         return lhs // rhs
 
-    def fold(self):
-        lhs_const, rhs_const = self._operand_constants()
-        if rhs_const == 0:
-            return None  # do not fold a trap
-        if lhs_const is not None and rhs_const is not None:
-            return [
-                IntegerAttr(
-                    truncate_to_type(lhs_const // rhs_const, self.result.type),
-                    self.result.type,
-                )
-            ]
+    def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 1:
             return [self.lhs]
         return None
@@ -256,22 +289,13 @@ class RemuiOp(BinaryOp):
 
     name = "arith.remui"
 
-    def evaluate(self, lhs: int, rhs: int) -> int:
+    @staticmethod
+    def evaluate(lhs: int, rhs: int) -> int:
         if rhs == 0:
-            raise ZeroDivisionError("arith.remui by zero")
+            raise DivisionByZero("arith.remui by zero")
         return lhs % rhs
 
-    def fold(self):
-        lhs_const, rhs_const = self._operand_constants()
-        if rhs_const == 0:
-            return None
-        if lhs_const is not None and rhs_const is not None:
-            return [
-                IntegerAttr(
-                    truncate_to_type(lhs_const % rhs_const, self.result.type),
-                    self.result.type,
-                )
-            ]
+    def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 1:
             return [IntegerAttr(0, self.result.type)]
         return None
@@ -283,9 +307,7 @@ class AndiOp(BinaryOp):
 
     name = "arith.andi"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs & rhs
+    evaluate = operator.and_
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 0 or lhs_const == 0:
@@ -301,9 +323,7 @@ class OriOp(BinaryOp):
 
     name = "arith.ori"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs | rhs
+    evaluate = operator.or_
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 0:
@@ -321,9 +341,7 @@ class XoriOp(BinaryOp):
 
     name = "arith.xori"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs ^ rhs
+    evaluate = operator.xor
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 0:
@@ -335,14 +353,38 @@ class XoriOp(BinaryOp):
         return None
 
 
+def _shift_left(width: int | None, lhs: int, rhs: int) -> int:
+    """``lhs << rhs`` for a result of ``width`` bits (None: ``index``).
+
+    A count at or past the width gives 0, which is what wrapping the wide
+    value gives, without building it.  On ``index`` a count past the host
+    word traps.
+    """
+    if rhs < 0:
+        raise InterpreterError("arith.shli by a negative count")
+    if width is None:
+        if rhs >= INDEX_BITS:
+            raise InterpreterError(
+                f"arith.shli of an index by {INDEX_BITS} or more bits"
+            )
+    elif rhs >= width:
+        return 0
+    return lhs << rhs
+
+
 @register_op
 class ShliOp(BinaryOp):
     """Left shift (the packing ladder's positioner, Listing 1)."""
 
     name = "arith.shli"
 
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return lhs << rhs
+    @property
+    def evaluate(self) -> Callable[[int, int], int]:
+        """``lhs << rhs`` at the result type's width: see :func:`_shift_left`."""
+        type = self.result.type
+        return partial(
+            _shift_left, type.width if isinstance(type, IntegerType) else None
+        )
 
     def fold_identities(self, lhs_const, rhs_const):
         if rhs_const == 0:
@@ -358,7 +400,10 @@ class ShruiOp(BinaryOp):
 
     name = "arith.shrui"
 
-    def evaluate(self, lhs: int, rhs: int) -> int:
+    @staticmethod
+    def evaluate(lhs: int, rhs: int) -> int:
+        if rhs < 0:
+            raise InterpreterError("arith.shrui by a negative count")
         return lhs >> rhs
 
     def fold_identities(self, lhs_const, rhs_const):
@@ -375,9 +420,7 @@ class MinUIOp(BinaryOp):
 
     name = "arith.minui"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return min(lhs, rhs)
+    evaluate = min
 
     def fold_identities(self, lhs_const, rhs_const):
         if self.lhs is self.rhs:
@@ -391,9 +434,7 @@ class MaxUIOp(BinaryOp):
 
     name = "arith.maxui"
     commutative = True
-
-    def evaluate(self, lhs: int, rhs: int) -> int:
-        return max(lhs, rhs)
+    evaluate = max
 
     def fold_identities(self, lhs_const, rhs_const):
         if self.lhs is self.rhs:
@@ -401,32 +442,45 @@ class MaxUIOp(BinaryOp):
         return None
 
 
-for _cls in (
-    AddiOp,
-    SubiOp,
-    MuliOp,
-    DivuiOp,
-    RemuiOp,
-    AndiOp,
-    OriOp,
-    XoriOp,
-    ShliOp,
-    ShruiOp,
-    MinUIOp,
-    MaxUIOp,
-):
-    register_custom_parser(_cls.name)(_binary_parser(_cls))
+def _signed(compare, width: int, lhs: int, rhs: int) -> bool:
+    """``compare`` of the two's-complement readings of ``width``-bit values."""
+    sign_bit = 1 << (width - 1)
+    return compare(
+        (lhs & (sign_bit - 1)) - (lhs & sign_bit),
+        (rhs & (sign_bit - 1)) - (rhs & sign_bit),
+    )
 
 
-CMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule", "ugt", "uge")
+#: each cmpi predicate: its comparison, and whether it reads the operands
+#: as signed (unsigned predicates compare the values as they are)
+_PREDICATES = {
+    "eq": (operator.eq, False),
+    "ne": (operator.ne, False),
+    "slt": (operator.lt, True),
+    "sle": (operator.le, True),
+    "sgt": (operator.gt, True),
+    "sge": (operator.ge, True),
+    "ult": (operator.lt, False),
+    "ule": (operator.le, False),
+    "ugt": (operator.gt, False),
+    "uge": (operator.ge, False),
+}
+CMP_PREDICATES = tuple(_PREDICATES)
+
+
+@cache
+def _comparison(predicate: str, width: int) -> Callable[[int, int], bool]:
+    """One predicate as a function of two ints, the width bound in."""
+    compare, signed = _PREDICATES[predicate]
+    return partial(_signed, compare, width) if signed else compare
 
 
 @register_op
-class CmpiOp(Operation):
+class CmpiOp(ScalarOp):
     """Integer comparison producing an ``i1``."""
 
     name = "arith.cmpi"
-    traits = frozenset([Pure()])
+    mnemonic = "cmp"
     custom_printed_attrs = frozenset(["predicate"])
 
     @staticmethod
@@ -463,42 +517,28 @@ class CmpiOp(Operation):
     @staticmethod
     def evaluate_predicate(predicate: str, lhs: int, rhs: int, width: int) -> bool:
         """Evaluate on unsigned representations of the given bit-width."""
+        return _comparison(predicate, width)(lhs, rhs)
 
-        def to_signed(value: int) -> int:
-            sign_bit = 1 << (width - 1)
-            return (value & (sign_bit - 1)) - (value & sign_bit)
-
-        if predicate in ("slt", "sle", "sgt", "sge"):
-            lhs, rhs = to_signed(lhs), to_signed(rhs)
-        table = {
-            "eq": lhs == rhs,
-            "ne": lhs != rhs,
-            "slt": lhs < rhs,
-            "sle": lhs <= rhs,
-            "sgt": lhs > rhs,
-            "sge": lhs >= rhs,
-            "ult": lhs < rhs,
-            "ule": lhs <= rhs,
-            "ugt": lhs > rhs,
-            "uge": lhs >= rhs,
-        }
-        return table[predicate]
+    @property
+    def evaluate(self) -> Callable[[int, int], bool]:
+        """The predicate as a function of the two operand ints; signed
+        predicates read them at the operand width (the host word for
+        ``index``)."""
+        type = self.lhs.type
+        return _comparison(
+            self.predicate,
+            type.width if isinstance(type, IntegerType) else INDEX_BITS,
+        )
 
     def fold(self):
         lhs_owner = self.lhs.owner
         rhs_owner = self.rhs.owner
         if isinstance(lhs_owner, ConstantOp) and isinstance(rhs_owner, ConstantOp):
-            width = (
-                self.lhs.type.width if isinstance(self.lhs.type, IntegerType) else 64
-            )
-            result = self.evaluate_predicate(
-                self.predicate, lhs_owner.value, rhs_owner.value, width
-            )
+            result = self.evaluate(lhs_owner.value, rhs_owner.value)
             return [IntegerAttr(int(result), i1)]
-        if self.lhs is self.rhs and self.predicate in ("eq", "sle", "sge", "ule", "uge"):
-            return [IntegerAttr(1, i1)]
-        if self.lhs is self.rhs and self.predicate in ("ne", "slt", "sgt", "ult", "ugt"):
-            return [IntegerAttr(0, i1)]
+        if self.lhs is self.rhs:
+            # x against itself: the predicate holds or fails for every x
+            return [IntegerAttr(int(self.evaluate(0, 0)), i1)]
         return None
 
     def print_custom(self, printer: Printer) -> None:
@@ -522,11 +562,11 @@ def _parse_cmpi(parser) -> CmpiOp:
 
 
 @register_op
-class SelectOp(Operation):
+class SelectOp(ScalarOp):
     """``%r = arith.select %cond, %true_value, %false_value : type``."""
 
     name = "arith.select"
-    traits = frozenset([Pure()])
+    mnemonic = "select"
 
     @staticmethod
     def create(cond: SSAValue, true_value: SSAValue, false_value: SSAValue) -> "SelectOp":

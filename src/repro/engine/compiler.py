@@ -13,7 +13,10 @@ that exactly once, producing a :class:`CompiledModule`:
 * per-op host instructions (:class:`repro.isa.instructions.Instr`) are
   resolved at compile time to one shared record per mnemonic and category,
   including the calc-vs-compute categorization of
-  :func:`repro.interp.interpreter.config_feeding_ops`.
+  :func:`repro.dialects.accfg.config_feeding_ops`;
+* a two-operand scalar op, ``arith.cmpi`` included, becomes one
+  ``OP_BINOP`` that calls the value function its op class declares
+  (:class:`repro.dialects.arith.ScalarOp`).
 
 The compiled form is immutable and shareable: it holds no IR at all (a
 setup or launch names its op by site number, see
@@ -37,15 +40,9 @@ from dataclasses import dataclass
 
 from ..dialects import accfg, arith, func, scf
 from ..dialects.builtin import ModuleOp
-from ..interp.interpreter import (
-    cannot_interpret,
-    config_feeding_ops,
-    runtime_record,
-)
-from ..ir.attributes import IntegerType
+from ..interp.interpreter import cannot_interpret, runtime_record
 from ..ir.operation import Operation
 from ..ir.ssa import SSAValue
-from ..isa.instructions import Instr, InstrCategory, scalar_instr
 
 
 # Opcodes.  Dense small ints so the executor dispatches on an int compare
@@ -55,19 +52,18 @@ OP_CONST = 1
 OP_COPY = 2
 OP_FOR_TEST = 3
 OP_FOR_NEXT = 4
-OP_CMP = 5
-OP_SELECT = 6
-OP_IF = 7
-OP_JUMP = 8
-OP_FOR_INIT = 9
-OP_SETUP = 10
-OP_LAUNCH = 11
-OP_AWAIT = 12
-OP_RESET = 13
-OP_CALL = 14
-OP_RETURN = 15
-OP_HOST = 16
-OP_TRAP = 17
+OP_SELECT = 5
+OP_IF = 6
+OP_JUMP = 7
+OP_FOR_INIT = 8
+OP_SETUP = 9
+OP_LAUNCH = 10
+OP_AWAIT = 11
+OP_RESET = 12
+OP_CALL = 13
+OP_RETURN = 14
+OP_HOST = 15
+OP_TRAP = 16
 
 #: opcodes of the runtime records that are not host-side ops
 _RUNTIME_OPCODES = {
@@ -106,13 +102,6 @@ class CompiledModule:
         self.site_count = site_count
 
 
-def _int_mask(type_) -> int | None:
-    """Wrap-around mask for a result type (None for unbounded ``index``)."""
-    if isinstance(type_, IntegerType):
-        return (1 << type_.width) - 1
-    return None
-
-
 class _FunctionCompiler:
     """Lowers one function body; shared module-level context is passed in."""
 
@@ -143,16 +132,6 @@ class _FunctionCompiler:
     @property
     def n_slots(self) -> int:
         return len(self._slots)
-
-    # -- charging --------------------------------------------------------
-
-    def _scalar_instr(self, op: Operation, mnemonic: str) -> Instr:
-        category = (
-            InstrCategory.CALC
-            if op in self._config_feeding
-            else InstrCategory.COMPUTE
-        )
-        return scalar_instr(mnemonic, category)
 
     # -- lowering --------------------------------------------------------
 
@@ -187,54 +166,18 @@ class _FunctionCompiler:
 
     def compile_op(self, op: Operation) -> None:
         code = self.code
-        if isinstance(op, arith.ConstantOp):
-            code.append(
-                (OP_CONST, self.slot(op.result), op.value,
-                 self._scalar_instr(op, "li"))
-            )
-            return
-        if isinstance(op, arith.BinaryOp):
-            code.append(
-                (
-                    OP_BINOP,
-                    self.slot(op.result),
-                    type(op).evaluate,
-                    self.slot(op.lhs),
-                    self.slot(op.rhs),
-                    _int_mask(op.result.type),
-                    self._scalar_instr(op, op.name.split(".")[-1]),
-                )
-            )
-            return
-        if isinstance(op, arith.CmpiOp):
-            width = (
-                op.lhs.type.width
-                if isinstance(op.lhs.type, IntegerType)
-                else 64
-            )
-            code.append(
-                (
-                    OP_CMP,
-                    self.slot(op.result),
-                    op.predicate,
-                    self.slot(op.lhs),
-                    self.slot(op.rhs),
-                    width,
-                    self._scalar_instr(op, "cmp"),
-                )
-            )
-            return
-        if isinstance(op, arith.SelectOp):
-            code.append(
-                (
-                    OP_SELECT,
-                    self.slot(op.result),
-                    self.slot(op.condition),
-                    self.slot(op.true_value),
-                    self.slot(op.false_value),
-                    self._scalar_instr(op, "select"),
-                )
-            )
+        if isinstance(op, arith.ScalarOp):
+            dst = self.slot(op.result)
+            instr = arith.charged_instr(op, self._config_feeding)
+            if isinstance(op, arith.ConstantOp):
+                code.append((OP_CONST, dst, op.value, instr))
+            elif isinstance(op, arith.SelectOp):
+                cond, tv, fv = map(self.slot, op.operands)
+                code.append((OP_SELECT, dst, cond, tv, fv, instr))
+            else:  # two operands: the op's declared value function
+                lhs, rhs = map(self.slot, op.operands)
+                mask = arith.width_mask(op.result.type)
+                code.append((OP_BINOP, dst, op.evaluate, lhs, rhs, mask, instr))
             return
         if isinstance(op, scf.ForOp):
             self.compile_for(op)
@@ -324,7 +267,7 @@ class _FunctionCompiler:
 
 def compile_module(module: ModuleOp) -> CompiledModule:
     """Lower every defined function of ``module`` to a flat trace."""
-    config_feeding = config_feeding_ops(module)
+    config_feeding = accfg.config_feeding_ops(module)
     sites = {op: number for number, op in enumerate(accfg.config_sites(module))}
     functions: dict[str, CompiledFunction] = {}
     declarations: set[str] = set()

@@ -32,7 +32,6 @@ from .compiler import (
     OP_AWAIT,
     OP_BINOP,
     OP_CALL,
-    OP_CMP,
     OP_CONST,
     OP_COPY,
     OP_FOR_INIT,
@@ -51,11 +50,6 @@ from .compiler import (
     CompiledModule,
     compile_module,
 )
-
-# Re-exported for cmpi evaluation without re-importing dialects at run time.
-from ..dialects.arith import CmpiOp
-
-_evaluate_predicate = CmpiOp.evaluate_predicate
 
 
 class TraceExecutor(AccfgRuntime):
@@ -129,7 +123,7 @@ class TraceExecutor(AccfgRuntime):
                 rhs = frame[b]
                 if not isinstance(rhs, int):
                     raise _not_int(rhs)
-                value = evaluate(None, lhs, rhs)
+                value = evaluate(lhs, rhs)
                 frame[dst] = value & mask if mask is not None else value
                 cycles, _ = cost(id(instr)) or resolve(instr)
                 sim.host_time += cycles
@@ -164,21 +158,6 @@ class TraceExecutor(AccfgRuntime):
             if opcode == OP_CONST:
                 _, dst, value, instr = ins
                 frame[dst] = value
-                cycles, _ = cost(id(instr)) or resolve(instr)
-                sim.host_time += cycles
-                trace_append(instr)
-                pc += 1
-                continue
-
-            if opcode == OP_CMP:
-                _, dst, predicate, a, b, width, instr = ins
-                lhs = frame[a]
-                if not isinstance(lhs, int):
-                    raise _not_int(lhs)
-                rhs = frame[b]
-                if not isinstance(rhs, int):
-                    raise _not_int(rhs)
-                frame[dst] = int(_evaluate_predicate(predicate, lhs, rhs, width))
                 cycles, _ = cost(id(instr)) or resolve(instr)
                 sim.host_time += cycles
                 trace_append(instr)

@@ -55,7 +55,9 @@ from .compiler import CompiledModule
 #: Version 3: runtime ops carry shared runtime records; ``OP_HOST`` replaces
 #: ``OP_FOREIGN`` and ``OP_TRAP`` is new.
 #: Version 4: traces are filed under the digest of ``structural_key``.
-SCHEMA = "repro-cache/4"
+#: Version 5: ``arith.cmpi`` compiles to ``OP_BINOP`` with its predicate
+#: function, and the compare opcode's successors are renumbered.
+SCHEMA = "repro-cache/5"
 
 #: Default size bound of one store directory (plenty for every fuzz/CI
 #: workload; a full 200-iteration three-backend fuzz run compiles ~2k

@@ -4,7 +4,6 @@ from .interpreter import (
     Interpreter,
     InterpreterError,
     StateHandle,
-    config_feeding_ops,
     run_module,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "Interpreter",
     "InterpreterError",
     "StateHandle",
-    "config_feeding_ops",
     "run_module",
 ]

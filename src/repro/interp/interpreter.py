@@ -10,7 +10,9 @@ roofline analysis needs.
 Instruction categorization: host scalar ops whose values flow (transitively)
 into setup or launch fields are *configuration parameter calculation*
 (``calc``, the ``T_calc`` of Eq. 4); all other scalar work is host compute.
-Loop and branch management is charged as ``control``.
+Each scalar op's value and record come from its declaration in
+:mod:`repro.dialects.arith`, which the trace engine reads too.  Loop and
+branch management is charged as ``control``.
 
 Setups, launches, awaits, resets, calls and host-side ops run through
 :class:`AccfgRuntime`, the base class this interpreter shares with the
@@ -24,21 +26,11 @@ from dataclasses import dataclass
 
 from ..dialects import accfg, arith, func, scf
 from ..dialects.builtin import ModuleOp
-from ..ir.attributes import IntegerType
-from ..ir.operation import Operation, UnregisteredOp
+from ..ir.operation import InterpreterError, Operation, UnregisteredOp
 from ..ir.ssa import SSAValue
 from ..sim.cosim import CoSimulator
 from ..sim.device import FaultError, LaunchToken
-from ..isa.instructions import CTRL_INSTR, Instr, InstrCategory
-
-
-class InterpreterError(Exception):
-    """Raised when a program cannot be interpreted."""
-
-
-#: control charges by record count (one branch or reset; a loop back-edge
-#: or a call's two jumps), shared so the simulator resolves each stream once
-_CONTROL_STREAMS = {1: (CTRL_INSTR,), 2: (CTRL_INSTR, CTRL_INSTR)}
+from ..isa.instructions import CTRL_PAIR_STREAM, CTRL_STREAM, Instr
 
 
 def _loc_suffix(loc) -> str:
@@ -76,27 +68,6 @@ class StateHandle:
 class _ReturnSignal(Exception):
     def __init__(self, values: list) -> None:
         self.values = values
-
-
-def config_feeding_ops(module: ModuleOp) -> set[Operation]:
-    """Ops whose results flow (transitively) into setup/launch fields."""
-    feeding: set[Operation] = set()
-    worklist: list[SSAValue] = []
-    for op in accfg.config_sites(module):
-        if isinstance(op, accfg.SetupOp):
-            worklist.extend(op.field_values)
-        else:
-            worklist.extend(value for _, value in op.fields)
-    while worklist:
-        value = worklist.pop()
-        owner = value.owner
-        if not isinstance(owner, Operation) or owner in feeding:
-            continue
-        if owner.regions:
-            continue  # stop at structured ops; their interiors are control
-        feeding.add(owner)
-        worklist.extend(owner.operands)
-    return feeding
 
 
 def runtime_record(op: Operation, key, site=None) -> tuple | None:
@@ -206,7 +177,7 @@ class AccfgRuntime:
             raise InterpreterError(
                 f"call to unknown/declared function '@{name}'"
             )
-        self.sim.charge(_CONTROL_STREAMS[2])  # call + return jumps
+        self.sim.charge(CTRL_PAIR_STREAM)  # call + return jumps
         if self._call_depth >= self.max_call_depth:
             raise InterpreterError(
                 f"call depth exceeded {self.max_call_depth} "
@@ -283,7 +254,7 @@ class AccfgRuntime:
             self._reset_epoch[accel] = self._reset_epoch.get(accel, 0) + 1
             if self.sim.faults is not None:
                 self.sim.exec_reset(accel)
-        self.sim.charge(_CONTROL_STREAMS[1])
+        self.sim.charge(CTRL_STREAM)
 
     def _host(self, frame, record: tuple) -> None:
         """A host-side op: its data move, then its charge."""
@@ -337,7 +308,7 @@ class Interpreter(AccfgRuntime):
                     functions[op.sym_name] = op
         super().__init__(sim, functions, declarations)
         self.module = module
-        self._config_feeding = config_feeding_ops(module)
+        self._config_feeding = accfg.config_feeding_ops(module)
         #: scalar op -> the one-record stream it charges, built on first run
         self._scalar_streams: dict[Operation, tuple[Instr]] = {}
         #: op -> its runtime record, built on first run
@@ -376,15 +347,12 @@ class Interpreter(AccfgRuntime):
                 return result or []
         return []
 
-    def _charge_scalar(self, op: Operation, mnemonic: str) -> None:
+    def _charge_scalar(self, op: arith.ScalarOp) -> None:
         stream = self._scalar_streams.get(op)
         if stream is None:
-            category = (
-                InstrCategory.CALC
-                if op in self._config_feeding
-                else InstrCategory.COMPUTE
+            stream = self._scalar_streams[op] = (
+                arith.charged_instr(op, self._config_feeding),
             )
-            stream = self._scalar_streams[op] = (Instr(mnemonic, category),)
         self.sim.charge(stream)
 
     def _record(self, op: Operation) -> tuple | None:
@@ -394,34 +362,17 @@ class Interpreter(AccfgRuntime):
         return record
 
     def _run_op(self, op: Operation, env: dict[SSAValue, object]):
-        if isinstance(op, arith.ConstantOp):
-            env[op.result] = op.value
-            self._charge_scalar(op, "li")
-            return None
-        if isinstance(op, arith.BinaryOp):
-            lhs = self._as_int(env, op.lhs)
-            rhs = self._as_int(env, op.rhs)
-            value = op.evaluate(lhs, rhs)
-            env[op.result] = arith.truncate_to_type(value, op.result.type)
-            self._charge_scalar(op, op.name.split(".")[-1])
-            return None
-        if isinstance(op, arith.CmpiOp):
-            width = (
-                op.lhs.type.width if isinstance(op.lhs.type, IntegerType) else 64
-            )
-            result = arith.CmpiOp.evaluate_predicate(
-                op.predicate,
-                self._as_int(env, op.lhs),
-                self._as_int(env, op.rhs),
-                width,
-            )
-            env[op.result] = int(result)
-            self._charge_scalar(op, "cmp")
-            return None
-        if isinstance(op, arith.SelectOp):
-            cond = self._as_int(env, op.condition)
-            env[op.result] = env[op.true_value if cond else op.false_value]
-            self._charge_scalar(op, "select")
+        if isinstance(op, arith.ScalarOp):
+            if isinstance(op, arith.ConstantOp):
+                env[op.result] = op.value
+            elif isinstance(op, arith.SelectOp):
+                cond = self._as_int(env, op.condition)
+                env[op.result] = env[op.true_value if cond else op.false_value]
+            else:  # two operands: the op's declared value function
+                lhs, rhs = op.operands
+                value = op.evaluate(self._as_int(env, lhs), self._as_int(env, rhs))
+                env[op.result] = arith.truncate_to_type(value, op.result.type)
+            self._charge_scalar(op)
             return None
         if isinstance(op, scf.ForOp):
             return self._run_for(op, env)
@@ -458,7 +409,7 @@ class Interpreter(AccfgRuntime):
         iv = lb
         while iv < ub:
             # Increment + compare&branch of the loop back-edge.
-            self.sim.charge(_CONTROL_STREAMS[2])
+            self.sim.charge(CTRL_PAIR_STREAM)
             env[op.induction_var] = iv
             for arg, value in zip(op.iter_args, carried):
                 env[arg] = value
@@ -470,7 +421,7 @@ class Interpreter(AccfgRuntime):
 
     def _run_if(self, op: scf.IfOp, env: dict[SSAValue, object]) -> None:
         cond = self._as_int(env, op.condition)
-        self.sim.charge(_CONTROL_STREAMS[1])
+        self.sim.charge(CTRL_STREAM)
         if cond:
             values = self._run_block(op.then_block, env)
         elif op.has_else:

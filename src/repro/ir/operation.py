@@ -39,6 +39,12 @@ class VerifyError(IRError):
     """Raised when IR fails verification."""
 
 
+class InterpreterError(Exception):
+    """Raised when a program cannot be interpreted: an error of the program,
+    the same under either execution engine (an arithmetic trap, a protocol
+    violation), never a fault of an engine."""
+
+
 class Operation:
     """Base class of all operations."""
 

@@ -78,6 +78,12 @@ _CATEGORIES = tuple(InstrCategory)
 CTRL_INSTR = Instr("ctrl", InstrCategory.CONTROL)
 FOREIGN_INSTR = Instr("foreign", InstrCategory.COMPUTE)
 
+#: The control charges: one record for a branch or a reset, two for a loop
+#: back-edge (increment + compare&branch) or a call (call + return jumps).
+#: Shared tuples, so the simulator resolves each stream once.
+CTRL_STREAM = (CTRL_INSTR,)
+CTRL_PAIR_STREAM = (CTRL_INSTR, CTRL_INSTR)
+
 _SCALAR_INSTRS: dict[tuple[str, InstrCategory], Instr] = {}
 
 

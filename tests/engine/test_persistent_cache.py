@@ -116,7 +116,9 @@ class TestCorruptionTolerance:
         # such an entry must never reach a faulted run.  Version 2 stored
         # flat protocol tuples, which today's executor cannot unpack.
         # Version 3 filed traces under the digest of another serialization.
-        for old in ("repro-cache/1", "repro-cache/2", "repro-cache/3"):
+        # Version 4 gave cmpi an opcode of its own and numbered the later
+        # opcodes one higher.
+        for old in ("repro-cache/1", "repro-cache/2", "repro-cache/3", "repro-cache/4"):
             store = PersistentStore(str(tmp_path / old.replace("/", "-")))
             entry = {
                 "schema": old,

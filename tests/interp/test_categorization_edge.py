@@ -1,6 +1,7 @@
 """Edge cases of instruction categorization and generic-syntax handling."""
 
-from repro.interp import config_feeding_ops, run_module
+from repro.dialects.accfg import config_feeding_ops
+from repro.interp import run_module
 from repro.ir import parse_module
 from repro.isa import HostCostModel
 from repro.sim import CoSimulator

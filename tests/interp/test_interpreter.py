@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.interp import Interpreter, InterpreterError, config_feeding_ops, run_module
+from repro.dialects.accfg import config_feeding_ops
+from repro.interp import Interpreter, InterpreterError, run_module
 from repro.ir import parse_module
 from repro.isa import HostCostModel, InstrCategory
 from repro.sim import CoSimulator, Memory

@@ -85,6 +85,87 @@ class TestArithmeticTraps:
             run_both(module.clone, args=[5])
 
 
+TWO_OPERANDS = """
+func.func @main(%a : {t}, %c : {t}) -> ({t}) {{
+  %r = {op} %a, %c : {t}
+  func.return %r : {t}
+}}
+"""
+
+TWO_CONSTANTS = """
+func.func @main() -> ({t}) {{
+  %a = arith.constant 3 : {t}
+  %c = arith.constant {count} : {t}
+  %r = {op} %a, %c : {t}
+  func.return %r : {t}
+}}
+"""
+
+
+def fold_constants(op: str, type_text: str, count: int):
+    module = parse_module(TWO_CONSTANTS.format(op=op, t=type_text, count=count))
+    (fn,) = module.body_block.ops
+    return fn.body.ops[2].fold()
+
+
+class TestTrapsAreProgramErrors:
+    """A trap is the program's error: an ``InterpreterError`` with one
+    message from both engines, which ``fold`` declines to fold."""
+
+    @pytest.mark.parametrize(
+        "op,message",
+        [
+            ("arith.divui", "arith.divui by zero"),
+            ("arith.remui", "arith.remui by zero"),
+        ],
+    )
+    def test_division_by_zero(self, op, message):
+        module = parse_module(TWO_OPERANDS.format(op=op, t="i64"))
+        with pytest.raises(InterpreterError, match=f"^{message}$"):
+            run_both(module.clone, args=[5, 0])
+        assert fold_constants(op, "i64", 0) is None
+
+    @pytest.mark.parametrize("op", ["arith.shli", "arith.shrui"])
+    def test_negative_shift_count(self, op):
+        module = parse_module(TWO_OPERANDS.format(op=op, t="index"))
+        with pytest.raises(InterpreterError, match=f"^{op} by a negative count$"):
+            run_both(module.clone, args=[5, -1])
+        assert fold_constants(op, "index", -1) is None
+
+
+class TestShiftCounts:
+    """A shift count past the width never builds the wide value."""
+
+    @pytest.mark.parametrize(
+        "type_text,count",
+        [
+            ("i8", 8),
+            ("i8", 255),
+            ("i32", 32),
+            ("i64", 64),
+            ("i64", 2**63 - 1),
+            ("i64", 2**64 - 1),
+        ],
+    )
+    def test_count_at_or_past_the_width_gives_zero(self, type_text, count):
+        module = parse_module(TWO_OPERANDS.format(op="arith.shli", t=type_text))
+        results, _ = run_both(module.clone, args=[3, count], functional=False)
+        assert results == [0]
+        folded = fold_constants("arith.shli", type_text, count)
+        assert folded is not None and folded[0].value == 0
+
+    def test_index_count_past_the_host_word_traps(self):
+        module = parse_module(TWO_OPERANDS.format(op="arith.shli", t="index"))
+        assert run_both(module.clone, args=[3, 63], functional=False)[0] == [
+            3 << 63
+        ]
+        with pytest.raises(
+            InterpreterError, match="^arith.shli of an index by 64 or more bits$"
+        ):
+            run_both(module.clone, args=[3, 64], functional=False)
+        assert fold_constants("arith.shli", "index", 64) is None
+
+
 class TestMemoryFaults:
     def test_wild_pointer_faults_at_launch(self):
         module = parse_module(

@@ -40,7 +40,7 @@ from repro.analysis.cost import (
     SymExpr,
 )
 from repro.dialects import accfg, arith, func, scf
-from repro.interp.interpreter import config_feeding_ops
+from repro.dialects.accfg import config_feeding_ops
 from repro.ir import parse_module
 from repro.ir.operation import Operation, UnregisteredOp
 from repro.ir.ssa import BlockArgument, SSAValue

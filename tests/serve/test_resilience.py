@@ -38,6 +38,13 @@ func.func @main(%x : i64) -> (i64) {
 }
 """
 
+TRAP_PROGRAM = """
+func.func @main(%a : index, %b : index) -> (index) {{
+  %r = {op} %a, %b : index
+  func.return %r : index
+}}
+"""
+
 BAD_PROGRAM = """
 func.func @main(%x : i64) -> (i64) {
   %y = arith.bogus %x : i64
@@ -337,6 +344,18 @@ class TestEngineFallback:
         assert not response["ok"]
         assert response["error"]["type"] == "InterpreterError"
         assert svc.engine_fallbacks == 0
+        # Arithmetic traps are the program's errors too.
+        for op, args, message in (
+            ("arith.divui", [5, 0], "arith.divui by zero"),
+            ("arith.shli", [5, -1], "arith.shli by a negative count"),
+        ):
+            svc = service()
+            response = svc.handle(
+                {"op": "simulate", "module": TRAP_PROGRAM.format(op=op), "args": args}
+            )
+            assert not response["ok"]
+            assert response["error"]["message"] == message
+            assert svc.engine_fallbacks == 0
 
     def test_chaos_trace_error_marker_takes_fallback_path(self):
         svc = service(chaos=ServiceChaos())
