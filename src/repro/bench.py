@@ -6,8 +6,7 @@ comparable run to run):
 
 * ``compile``   — build + full pass pipeline over one pinned program per
   backend (the per-pipeline cost every fuzz iteration and sweep point pays);
-* ``pattern_driver`` — the greedy rewrite driver alone (worklist vs the
-  legacy sweep driver on identical pinned modules; reports the speedup);
+* ``pattern_driver`` — the greedy rewrite driver alone on pinned modules;
 * ``simulate_cold`` — timing simulation of one pinned program per backend
   with the trace cache disabled, so every run pays compile + simulate
   (what a fuzz shard pays on first sight of a module).  Functional device
@@ -42,7 +41,7 @@ Results are written to ``BENCH_engine.json``::
 
     {
       "schema": "bench-engine/2",
-      "meta": {... python/host info, calibration_ops_per_s, rewrite_driver ...},
+      "meta": {... python/host info, calibration_ops_per_s ...},
       "workloads": {name: {"wall_s", "programs_per_s", "cache_hit_rate"}},
       "pass_breakdown": {pass_name: {"seconds", "runs", "ops_delta"}},
       "seed_baseline": {...}   # frozen pre-engine numbers, never overwritten
@@ -339,46 +338,30 @@ def bench_persistent_cache(quick: bool = False) -> dict:
 
 
 def bench_pattern_driver(quick: bool = False) -> dict:
-    """Worklist vs legacy sweep pattern driver on pinned modules.
+    """The worklist pattern driver on pinned modules.
 
     Isolates the rewrite-driver cost (canonicalization pattern set, the one
     every pipeline pays): each program is rebuilt per run and only the
-    ``drive_patterns`` call is timed, so the ratio is a pure driver
-    comparison.  The headline ``programs_per_s`` reports the shipped
-    (worklist) driver; the sweep driver's numbers and the resulting speedup
-    ride along.
+    ``drive_patterns`` call is timed.
     """
     from .ir.rewriter import drive_patterns
     from .passes.canonicalize import DEFAULT_PATTERNS
     from .testing.generator import build_spec
 
     specs = _pinned_programs()
-
-    def timed(driver: str, reps: int) -> tuple[float, int]:
-        total = 0.0
-        programs = 0
-        for _ in range(reps):
-            for spec in specs:
-                built = build_spec(spec, memory_seed=PINNED_SEED)
-                started = time.perf_counter()
-                drive_patterns(built.module, DEFAULT_PATTERNS, driver=driver)
-                total += time.perf_counter() - started
-                programs += 1
-        return total, programs
-
-    wall, programs = timed("worklist", 8 if quick else 80)
-    sweep_wall, sweep_programs = timed("sweep", 2 if quick else 20)
-    worklist_rate = programs / wall if wall else 0.0
-    sweep_rate = sweep_programs / sweep_wall if sweep_wall else 0.0
+    wall = 0.0
+    programs = 0
+    for _ in range(8 if quick else 80):
+        for spec in specs:
+            built = build_spec(spec, memory_seed=PINNED_SEED)
+            started = time.perf_counter()
+            drive_patterns(built.module, DEFAULT_PATTERNS)
+            wall += time.perf_counter() - started
+            programs += 1
     return {
         "wall_s": round(wall, 4),
-        "programs_per_s": round(worklist_rate, 3),
+        "programs_per_s": round(programs / wall, 3) if wall else 0.0,
         "cache_hit_rate": 0.0,  # no execution: the trace cache never engages
-        "sweep_wall_s": round(sweep_wall, 4),
-        "sweep_programs_per_s": round(sweep_rate, 3),
-        "worklist_speedup": round(worklist_rate / sweep_rate, 3)
-        if sweep_rate
-        else 0.0,
     }
 
 
@@ -710,14 +693,11 @@ WORKLOADS = {
 
 def run_bench(quick: bool = False) -> dict:
     """Run every workload; returns the full BENCH_engine.json document."""
-    from .ir.rewriter import active_driver
-
     meta = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "quick": quick,
         "calibration_ops_per_s": round(calibrate(), 1),
-        "rewrite_driver": active_driver(),
     }
     workloads = {}
     for name, runner in WORKLOADS.items():
@@ -832,8 +812,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{result['programs_per_s']:8.2f} programs/s   "
             f"cache hit rate {result['cache_hit_rate']:.0%}"
         )
-        if "worklist_speedup" in result:
-            line += f"   worklist speedup {result['worklist_speedup']:.2f}x"
         if "persistent_hit_rate" in result:
             line += f"   persistent hit rate {result['persistent_hit_rate']:.0%}"
         if "speedup_vs_serial" in result:

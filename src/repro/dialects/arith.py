@@ -9,9 +9,11 @@ folding of bit-packing is one of the "free" optimizations accfg unlocks
 
 Every op here is a :class:`ScalarOp` and declares once what executing it
 means: the host record it charges (``mnemonic``, see :func:`charged_instr`)
-and, for a two-operand op, its value ``evaluate(lhs, rhs)``.  Both
-execution engines and the static cost engine read these declarations, and
-``fold`` evaluates through the same function, so none of them can drift.
+and, for a two-operand op, its value ``evaluate(lhs, rhs)`` and whether
+that can trap (``traps``, see :func:`cannot_trap`).  Both execution
+engines and the static cost engine read these declarations, and ``fold``
+and the passes that speculate an op read the same function, so none of
+them can drift.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ class BinaryOp(ScalarOp):
     """
 
     commutative: bool = False
+    #: whether ``evaluate`` can trap; a trap depends on the right operand
+    #: alone (a zero divisor, a shift count out of range), see
+    #: :func:`cannot_trap`
+    traps: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -202,6 +208,26 @@ class BinaryOp(ScalarOp):
     def fold_identities(self, lhs_const: int | None, rhs_const: int | None):
         """Algebraic identities (x+0, x*1, ...); subclasses extend."""
         return None
+
+
+def cannot_trap(op: Operation) -> bool:
+    """Whether no execution of ``op`` can trap, so that a pass may run it
+    where the source program might not (hoist it out of a loop that may
+    not run, compute it for an iteration that never happens).
+
+    True of every scalar op except a trapping binary op whose right
+    operand is not a constant its ``evaluate`` accepts.
+    """
+    if not (isinstance(op, BinaryOp) and op.traps):
+        return isinstance(op, ScalarOp)
+    rhs = constant_value(op.rhs)
+    if rhs is None:
+        return False
+    try:
+        op.evaluate(0, rhs)
+    except InterpreterError:
+        return False
+    return True
 
 
 def _binary_parser(cls):
@@ -270,6 +296,7 @@ class DivuiOp(BinaryOp):
     """Unsigned integer division (traps on zero)."""
 
     name = "arith.divui"
+    traps = True
 
     @staticmethod
     def evaluate(lhs: int, rhs: int) -> int:
@@ -288,6 +315,7 @@ class RemuiOp(BinaryOp):
     """Unsigned integer remainder (traps on zero)."""
 
     name = "arith.remui"
+    traps = True
 
     @staticmethod
     def evaluate(lhs: int, rhs: int) -> int:
@@ -377,6 +405,7 @@ class ShliOp(BinaryOp):
     """Left shift (the packing ladder's positioner, Listing 1)."""
 
     name = "arith.shli"
+    traps = True
 
     @property
     def evaluate(self) -> Callable[[int, int], int]:
@@ -399,6 +428,7 @@ class ShruiOp(BinaryOp):
     """Logical right shift."""
 
     name = "arith.shrui"
+    traps = True
 
     @staticmethod
     def evaluate(lhs: int, rhs: int) -> int:

@@ -207,6 +207,14 @@ def constant_trip_count(loop: ForOp) -> int | None:
     return -(-(ub - lb) // step)
 
 
+def certainly_runs(loop: ForOp) -> bool:
+    """True when ``loop`` provably executes at least one iteration
+    (constant bounds with ``lb < ub``)."""
+    lb = arith.constant_value(loop.lb)
+    ub = arith.constant_value(loop.ub)
+    return lb is not None and ub is not None and lb < ub
+
+
 @register_custom_parser("scf.for")
 def _parse_for(parser) -> ForOp:
     iv_token = parser.expect_kind("PERCENT")

@@ -44,17 +44,13 @@ from .registry import (
     register_type_parser,
 )
 from .rewriter import (
-    DRIVER_NAMES,
     DriverResult,
     GreedyPatternDriver,
     PatternDriverWarning,
     PatternRewriter,
     RewritePattern,
     Rewriter,
-    active_driver,
-    apply_patterns_greedily,
     drive_patterns,
-    use_driver,
 )
 from .ssa import BlockArgument, OpResult, SSAValue, Use
 from .traits import IsolatedFromAbove, IsTerminator, OpTrait, Pure
@@ -101,17 +97,13 @@ __all__ = [
     "register_custom_parser",
     "register_op",
     "register_type_parser",
-    "DRIVER_NAMES",
     "DriverResult",
     "GreedyPatternDriver",
     "PatternDriverWarning",
     "PatternRewriter",
     "RewritePattern",
     "Rewriter",
-    "active_driver",
-    "apply_patterns_greedily",
     "drive_patterns",
-    "use_driver",
     "BlockArgument",
     "OpResult",
     "SSAValue",

@@ -7,81 +7,36 @@ Three layers, mirroring MLIR:
 * :class:`RewritePattern` + :class:`PatternRewriter` — local rewrites that
   report what they touched, so a driver can re-enqueue exactly the
   neighbours a mutation may have enabled.
-* the drivers — :func:`apply_patterns_greedily` /
-  :func:`drive_patterns` apply a pattern set to fixpoint.  The default
-  **worklist driver** seeds one linear walk, pops ops, tries only the
+* the **worklist driver** — :func:`drive_patterns` applies a pattern set
+  to fixpoint.  It seeds one linear walk, pops ops, tries only the
   patterns indexed by the op's root class/name (see
   :attr:`RewritePattern.root_ops` and :meth:`RewritePattern.applies_to`),
   and re-enqueues the neighbours reported through
   :attr:`PatternRewriter.touched` — users of replaced results, operand
   definers of erased ops, inserted/inlined ops, and the enclosing parent.
-  The legacy **sweep driver** (full re-walk per sweep) is kept behind
-  ``REPRO_REWRITE_DRIVER=sweep`` as a differential oracle: both drivers
-  reach the same normal form.
+  It reaches the normal form of a fixpoint of full sweeps (every pattern
+  on every op, re-walking until nothing fires), which the tests hold it
+  to.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections import deque
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .block import Block
 from .builder import Builder, InsertPoint
 from .operation import IRError, Operation
 from .ssa import SSAValue
 
-#: sweeps (sweep driver) / rewrites-per-seeded-op (worklist driver) before
-#: the drivers give up on a non-converging pattern set
+#: rewrites per seeded op before the driver gives up on a non-converging
+#: pattern set
 MAX_PATTERN_ITERATIONS = 50
-
-#: recognised values of ``REPRO_REWRITE_DRIVER``; ``both`` drives with the
-#: worklist and additionally enables the sweep cross-check in the fuzz
-#: oracles (see repro.testing.oracles)
-DRIVER_NAMES = ("worklist", "sweep", "both")
-
-_DRIVER_ENV = "REPRO_REWRITE_DRIVER"
-
-#: process-local override installed by :func:`use_driver`; wins over the
-#: environment variable
-_DRIVER_OVERRIDE: str | None = None
 
 
 class PatternDriverWarning(RuntimeWarning):
     """A pattern driver stopped before reaching a fixpoint."""
-
-
-def active_driver() -> str:
-    """The rewrite driver selected for this process.
-
-    ``REPRO_REWRITE_DRIVER`` picks ``worklist`` (default), ``sweep`` (the
-    legacy fixpoint-of-full-walks driver, kept as a differential oracle) or
-    ``both`` (worklist, plus the driver-divergence oracle in the fuzzer).
-    :func:`use_driver` overrides the environment for a scope.
-    """
-    name = _DRIVER_OVERRIDE or os.environ.get(_DRIVER_ENV, "worklist")
-    if name not in DRIVER_NAMES:
-        raise ValueError(
-            f"unknown rewrite driver '{name}' from {_DRIVER_ENV} "
-            f"(expected one of {', '.join(DRIVER_NAMES)})"
-        )
-    return name
-
-
-@contextmanager
-def use_driver(name: str) -> Iterator[None]:
-    """Force the rewrite driver within a ``with`` block (tests, oracles)."""
-    global _DRIVER_OVERRIDE
-    if name not in DRIVER_NAMES:
-        raise ValueError(f"unknown rewrite driver '{name}'")
-    previous = _DRIVER_OVERRIDE
-    _DRIVER_OVERRIDE = name
-    try:
-        yield
-    finally:
-        _DRIVER_OVERRIDE = previous
 
 
 def enclosing_scope(root: Operation, op: Operation) -> Operation | None:
@@ -334,21 +289,19 @@ class DriverResult:
     """What a pattern-driver run did.
 
     ``scopes`` lists the direct children of the driven root whose subtrees
-    changed (insertion-ordered); None means a root-level change or that the
-    driver does not track scopes (the sweep driver).  :meth:`report`
-    converts to the pass change-report protocol.
+    changed (insertion-ordered); None means a root-level change or a run
+    that stopped before its fixpoint.  :meth:`report` converts to the pass
+    change-report protocol.
     """
 
-    __slots__ = ("changed", "converged", "scopes")
+    __slots__ = ("changed", "scopes")
 
     def __init__(
         self,
         changed: bool,
-        converged: bool = True,
         scopes: "dict[Operation, None] | None" = None,
     ) -> None:
         self.changed = changed
-        self.converged = converged
         self.scopes = scopes
 
     def report(self):
@@ -360,17 +313,6 @@ class DriverResult:
         if any(scope.parent is None for scope in self.scopes):
             return True  # a top-level scope was itself erased: be safe
         return list(self.scopes)
-
-    def merge(self, other: "DriverResult") -> "DriverResult":
-        """Accumulate a later run into this result (in place)."""
-        self.changed = self.changed or other.changed
-        self.converged = self.converged and other.converged
-        if other.changed:
-            if self.scopes is None or other.scopes is None:
-                self.scopes = None
-            else:
-                self.scopes.update(other.scopes)
-        return self
 
 
 def _warn_nonconvergence(
@@ -475,7 +417,7 @@ class GreedyPatternDriver:
         # Cheap budget first (seed count); a legitimate cascade from a small
         # seed set may exceed it, so before declaring non-convergence the
         # budget is re-derived once from the actual op count under root —
-        # the same max_iterations-sweeps bound the sweep driver enforces.
+        # the bound of max_iterations full sweeps.
         budget = self.max_iterations * max(len(worklist), 1)
         budget_escalated = seeds is None
         rewrites = 0
@@ -527,9 +469,9 @@ class GreedyPatternDriver:
                         push(touched)
                 # Only ops *moved or inserted* with regions (inlined
                 # branches, replacement subtrees) need their nested ops
-                # enqueued — the sweep driver would see them on its next
-                # walk.  A merely re-touched parent must not re-enqueue
-                # its whole body.
+                # enqueued — a full sweep would see them on its next walk.
+                # A merely re-touched parent must not re-enqueue its whole
+                # body.
                 for inserted in rewriter.inserted:
                     if inserted.regions and inserted not in erased:
                         for sub in inserted.walk_list():
@@ -551,53 +493,10 @@ class GreedyPatternDriver:
                 _warn_nonconvergence(
                     "worklist", self.patterns, sum(1 for _ in root.walk())
                 )
-                return DriverResult(changed, converged=False, scopes=None)
+                return DriverResult(changed)
         return DriverResult(
-            changed,
-            converged=True,
-            scopes=None if root_level_change else scopes,
+            changed, scopes=None if root_level_change else scopes
         )
-
-
-def _sweep_patterns(
-    root: Operation,
-    patterns: Sequence[RewritePattern],
-    max_iterations: int,
-) -> DriverResult:
-    """The legacy driver: full re-walk per sweep, every pattern on every op.
-
-    Kept as the differential oracle for the worklist driver — both reach
-    the same normal form.  Does not track per-scope changes.
-    """
-    def still_attached(op: Operation) -> bool:
-        current: Operation | None = op
-        while current is not None:
-            if current is root:
-                return True
-            current = current.parent_op
-        return False
-
-    changed_any = False
-    for _ in range(max_iterations):
-        rewriter = PatternRewriter()
-        sweep_changed = False
-        for op in list(root.walk()):
-            if op is not root and not still_attached(op):
-                continue  # erased by an earlier pattern in this sweep
-            for pattern in patterns:
-                try:
-                    fired = pattern.match_and_rewrite(op, rewriter)
-                except IRError:
-                    raise
-                if fired or rewriter.changed:
-                    sweep_changed = True
-                    rewriter.changed = False
-                    break  # op may be gone; move to next op
-        if not sweep_changed:
-            return DriverResult(changed_any, converged=True, scopes=None)
-        changed_any = True
-    _warn_nonconvergence("sweep", patterns, sum(1 for _ in root.walk()))
-    return DriverResult(changed_any, converged=False, scopes=None)
 
 
 #: driver instances cached per pattern-set identity, so repeated pipeline
@@ -621,29 +520,12 @@ def drive_patterns(
     root: Operation,
     patterns: Sequence[RewritePattern],
     max_iterations: int = MAX_PATTERN_ITERATIONS,
-    driver: str | None = None,
 ) -> DriverResult:
     """Apply ``patterns`` over all ops nested in ``root`` until fixpoint.
 
-    ``driver`` forces ``"worklist"`` or ``"sweep"``; None consults
-    :func:`active_driver` (``REPRO_REWRITE_DRIVER``).  Returns a
-    :class:`DriverResult` with per-scope change sets under the worklist
-    driver.
+    Returns a :class:`DriverResult` with the per-scope change set.
     """
-    name = driver or active_driver()
-    if name == "sweep":
-        return _sweep_patterns(root, patterns, max_iterations)
     return _cached_driver(patterns, max_iterations).run(root)
-
-
-def apply_patterns_greedily(
-    root: Operation,
-    patterns: Sequence[RewritePattern],
-    max_iterations: int = MAX_PATTERN_ITERATIONS,
-    driver: str | None = None,
-) -> bool:
-    """Back-compat wrapper around :func:`drive_patterns`: True iff changed."""
-    return drive_patterns(root, patterns, max_iterations, driver).changed
 
 
 __all__ = [
@@ -654,13 +536,9 @@ __all__ = [
     "Worklist",
     "DriverResult",
     "GreedyPatternDriver",
-    "apply_patterns_greedily",
     "drive_patterns",
-    "active_driver",
-    "use_driver",
     "enclosing_scope",
     "MAX_PATTERN_ITERATIONS",
-    "DRIVER_NAMES",
     "Builder",
     "InsertPoint",
 ]

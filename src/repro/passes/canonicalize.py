@@ -19,12 +19,7 @@ from __future__ import annotations
 from ..dialects import arith, scf
 from ..ir.attributes import Attribute
 from ..ir.operation import Operation
-from ..ir.rewriter import (
-    PatternRewriter,
-    RewritePattern,
-    apply_patterns_greedily,
-    drive_patterns,
-)
+from ..ir.rewriter import PatternRewriter, RewritePattern, drive_patterns
 from ..ir.ssa import SSAValue
 from ..ir.traits import Pure
 from .pass_manager import ModulePass, register_pass
@@ -182,5 +177,4 @@ __all__ = [
     "DedupConstantPattern",
     "DEFAULT_PATTERNS",
     "CanonicalizePass",
-    "apply_patterns_greedily",
 ]

@@ -13,22 +13,12 @@ fixpoint in one pass slot:
 * those touched ops *reseed* the worklist driver — no full re-walk — and
   the two steps alternate until CSE finds nothing, which (with the pattern
   fixpoint reached inside each driver run) is the joint fixpoint.
-
-Under ``REPRO_REWRITE_DRIVER=sweep`` the same joint fixpoint is reached by
-alternating full sweeps, which keeps the legacy driver usable as a
-differential oracle for the whole pipeline.
 """
 
 from __future__ import annotations
 
 from ..ir.operation import Operation
-from ..ir.rewriter import (
-    GreedyPatternDriver,
-    PatternRewriter,
-    active_driver,
-    drive_patterns,
-    enclosing_scope,
-)
+from ..ir.rewriter import GreedyPatternDriver, PatternRewriter, enclosing_scope
 from .canonicalize import DEFAULT_PATTERNS
 from .cse import cse_root
 from .pass_manager import ModulePass, register_pass, report_scopes
@@ -48,8 +38,6 @@ class CleanupPass(ModulePass):
     name = "cleanup"
 
     def apply(self, module: Operation, analyses=None):
-        if active_driver() == "sweep":
-            return self._apply_sweep(module)
         scopes: dict[Operation, None] = {}
         root_level = False
         changed_any = False
@@ -89,16 +77,3 @@ class CleanupPass(ModulePass):
             ]
             record(_PATTERN_DRIVER.run(module, seeds=seeds, rewriter=rewriter))
         return report_scopes(changed_any, scopes, root_level)
-
-    def _apply_sweep(self, module: Operation):
-        """Legacy-driver variant: alternate full sweeps to the same joint
-        fixpoint (no scope tracking — sweeps do not report scopes)."""
-        changed_any = drive_patterns(
-            module, DEFAULT_PATTERNS, driver="sweep"
-        ).changed
-        for _ in range(MAX_CLEANUP_ROUNDS):
-            if not cse_root(module):
-                break
-            changed_any = True
-            drive_patterns(module, DEFAULT_PATTERNS, driver="sweep")
-        return True if changed_any else False

@@ -109,15 +109,6 @@ def _top_level_setups(loop: scf.ForOp, accelerator: str) -> list[accfg.SetupOp]:
     ]
 
 
-def _loop_certainly_runs(loop: scf.ForOp) -> bool:
-    """True when the loop provably executes at least one iteration."""
-    from ..dialects import arith
-
-    lb = arith.constant_value(loop.lb)
-    ub = arith.constant_value(loop.ub)
-    return lb is not None and ub is not None and lb < ub
-
-
 def _insert_guarded_setup(
     loop: scf.ForOp,
     accelerator: str,
@@ -130,7 +121,7 @@ def _insert_guarded_setup(
     from ..dialects import arith
 
     assert loop.parent is not None
-    if _loop_certainly_runs(loop):
+    if scf.certainly_runs(loop):
         pre = accfg.SetupOp.create(accelerator, fields, init)
         loop.parent.insert_op_before(loop, pre)
         return pre.out_state

@@ -16,7 +16,7 @@ order is dominance-safe.
 
 from __future__ import annotations
 
-from ..dialects import scf
+from ..dialects import arith, scf
 from ..ir.block import Block
 from ..ir.operation import Operation
 from ..ir.rewriter import Rewriter, Worklist, enclosing_scope
@@ -52,6 +52,7 @@ def hoist_from_loop(loop: scf.ForOp) -> bool:
     worklist = Worklist()
     for op in loop.body.ops:
         worklist.push(op)
+    runs = scf.certainly_runs(loop)
     hoisted = False
     while worklist:
         op = worklist.pop()
@@ -59,6 +60,8 @@ def hoist_from_loop(loop: scf.ForOp) -> bool:
             continue  # already hoisted (or erased)
         if not op.is_pure or op.regions or op.is_terminator:
             continue
+        if not (runs or arith.cannot_trap(op)):
+            continue  # hoisting would run it where the loop may not
         if not all(is_defined_outside(operand, loop) for operand in op.operands):
             continue
         users = [

@@ -111,6 +111,11 @@ def pipeline_loop(loop: scf.ForOp, concurrent: set[str] | None) -> bool:
     slice_ops = _pure_slice_in_block([v for _, v in setup.fields], body)
     if slice_ops is None:
         return False
+    # The rotated setup computes iteration i+1's fields on every trip, the
+    # last one included: an op that may trap must not run for an iteration
+    # the source program never reaches.
+    if not all(arith.cannot_trap(op) for op in slice_ops):
+        return False
     # The slice may not depend on the state arg or on loop results.
     for op in slice_ops:
         for operand in op.operands:
@@ -121,14 +126,12 @@ def pipeline_loop(loop: scf.ForOp, concurrent: set[str] | None) -> bool:
     # loop might run zero times, the preamble is guarded by `lb < ub`
     # (unconditionally writing iteration-0 configuration would be observable
     # by later launches of the carried state).
-    from .dedup import _loop_certainly_runs
-
     value_map: dict[SSAValue, SSAValue] = {
         loop.induction_var: loop.lb,
         state_arg: loop.iter_inits[state_arg_index],
     }
     assert loop.parent is not None
-    if _loop_certainly_runs(loop):
+    if scf.certainly_runs(loop):
         for op in slice_ops:
             clone = op.clone(value_map)
             loop.parent.insert_op_before(loop, clone)
@@ -188,7 +191,7 @@ def pipeline_loop(loop: scf.ForOp, concurrent: set[str] | None) -> bool:
         final_state = loop.results[state_arg_index]
         tail_launch = accfg.LaunchOp.create(final_state)
         tail_await = accfg.AwaitOp.create(tail_launch.token)
-        if _loop_certainly_runs(loop):
+        if scf.certainly_runs(loop):
             loop.parent.insert_op_after(loop, tail_launch)
             loop.parent.insert_op_after(tail_launch, tail_await)
         else:

@@ -29,11 +29,7 @@ engine does not model are skipped (the model makes no claim about them).
 Any crash while optimizing or executing is reported as a ``crash``
 oracle finding; ``trace-vs-tree`` cross-checks the trace-compiled
 execution engine against the reference tree interpreter (see *Engines*
-below).  A ``driver-divergence`` oracle activates under
-``REPRO_REWRITE_DRIVER=both``: every pipeline is replayed on a fresh clone
-with the legacy sweep pattern driver and both optimized modules must have
-identical structural keys — the worklist driver's normal form is the sweep
-driver's normal form, on every fuzzed program.
+below).
 
 Hot-path structure
 ------------------
@@ -75,7 +71,6 @@ import numpy as np
 from ..analysis import error_code_counts, run_lints
 from ..interp import run_module
 from ..ir import structural_key, verify_operation
-from ..ir.rewriter import active_driver, use_driver
 from ..passes import PIPELINES, PassManager
 from ..sim import CoSimulator
 from ..sim.memory import Memory, MemorySnapshot
@@ -108,7 +103,7 @@ class OracleFailure:
     """One oracle violation for one pipeline."""
 
     #: "functional" | "timing" | "lint" | "static-cost" | "crash"
-    #: | "trace-vs-tree" | "driver-divergence"
+    #: | "trace-vs-tree"
     oracle: str
     pipeline: str
     message: str
@@ -497,37 +492,6 @@ class _SubjectRunner:
             self._prefix_states[full] = module
         return module
 
-    def _check_driver_equivalence(
-        self, name: str, factory: Callable[[], PassManager], key
-    ) -> OracleFailure | None:
-        """Re-run the pipeline under the legacy sweep driver and compare.
-
-        The worklist driver's tentpole claim is that it reaches the *same
-        normal form* as fixpoint-of-full-sweeps, just without the re-walks;
-        under ``REPRO_REWRITE_DRIVER=both`` every pipeline run is replayed
-        on a fresh clone with the sweep driver and the two optimized modules
-        are compared by exact structural key.
-        """
-        try:
-            sweep_module = self.base_module.clone()
-            with use_driver("sweep"):
-                factory().run(sweep_module)
-            verify_operation(sweep_module)
-        except Exception as error:  # noqa: BLE001 - asymmetry is the finding
-            return OracleFailure(
-                "driver-divergence",
-                name,
-                f"sweep driver raised {type(error).__name__}: {error} "
-                "where the worklist driver succeeded",
-            )
-        if structural_key(sweep_module) != key:
-            return OracleFailure(
-                "driver-divergence",
-                name,
-                "worklist and sweep drivers reached different normal forms",
-            )
-        return None
-
     def run(
         self,
         name: str,
@@ -537,7 +501,7 @@ class _SubjectRunner:
         args: list[int] | None = None,
     ) -> tuple[RunOutcome | OracleFailure, list[OracleFailure]]:
         """One pipeline's outcome plus any cross-check divergences
-        (trace-vs-tree, worklist-vs-sweep)."""
+        (trace-vs-tree, static-cost)."""
         extras: list[OracleFailure] = []
         stage = "optimize"
         try:
@@ -552,12 +516,6 @@ class _SubjectRunner:
                 # output (it is never mutated, so no clone is needed).
                 module = self.base_module
             key = structural_key(module)
-            if ran_passes and factory is not None and active_driver() == "both":
-                failure = self._check_driver_equivalence(
-                    name, factory, key
-                )
-                if failure is not None:
-                    extras.append(failure)
             cached = self.outcomes.get(key)
             if cached is not None:
                 # An identical module already verified, executed, and linted

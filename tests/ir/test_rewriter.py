@@ -10,7 +10,7 @@ from repro.ir import (
     PatternRewriter,
     RewritePattern,
     Rewriter,
-    apply_patterns_greedily,
+    drive_patterns,
     i64,
 )
 
@@ -98,7 +98,7 @@ class TestGreedyDriver:
     def test_applies_to_fixpoint(self):
         block, *_ = block_with_chain()
         wrapper = _wrap(block)
-        changed = apply_patterns_greedily(wrapper, [ReplaceAddWithSub()])
+        changed = drive_patterns(wrapper, [ReplaceAddWithSub()]).changed
         assert changed
         names = [op.name for op in block.ops]
         assert "arith.addi" not in names
@@ -107,7 +107,7 @@ class TestGreedyDriver:
     def test_no_change_returns_false(self):
         block = Block([arith.ConstantOp.create(1, i64)])
         wrapper = _wrap(block)
-        assert not apply_patterns_greedily(wrapper, [ReplaceAddWithSub()])
+        assert not drive_patterns(wrapper, [ReplaceAddWithSub()]).changed
 
     def test_max_iterations_bounds_runaway(self):
         class Flipper(RewritePattern):
@@ -125,7 +125,7 @@ class TestGreedyDriver:
         block, *_ = block_with_chain()
         wrapper = _wrap(block)
         # Terminates despite the non-converging pattern.
-        assert apply_patterns_greedily(wrapper, [Flipper()], max_iterations=5)
+        assert drive_patterns(wrapper, [Flipper()], max_iterations=5).changed
 
 
 def _wrap(block: Block) -> Operation:
@@ -143,18 +143,17 @@ from repro.ir import (  # noqa: E402 - grouped with the tests that use them
     PatternDriverWarning,
     Region,
     UnregisteredOp,
-    active_driver,
-    drive_patterns,
     i1,
     print_operation,
-    use_driver,
 )
+from repro.ir.rewriter import MAX_PATTERN_ITERATIONS  # noqa: E402
 from repro.passes.canonicalize import (  # noqa: E402
     DEFAULT_PATTERNS,
     DeadPureOpPattern,
     FoldPattern,
     SimplifyConstantIfPattern,
 )
+from tests.properties.sweep_reference import _sweep_patterns  # noqa: E402
 
 
 class AddToSub(RewritePattern):
@@ -256,7 +255,7 @@ class TestWorklistIncrementality:
         # dead: the cascade only happens if erasure re-enqueues definers.
         block, *_ = block_with_chain()
         wrapper = _wrap(block)
-        assert apply_patterns_greedily(wrapper, [DeadPureOpPattern()])
+        assert drive_patterns(wrapper, [DeadPureOpPattern()]).changed
         assert list(block.ops) == []
 
     def test_inserted_ops_are_processed(self):
@@ -276,11 +275,86 @@ class TestWorklistIncrementality:
         block.add_ops([c2, mul, sink])
         wrapper = _wrap(block)
         # MulToAdd inserts a fresh addi; FoldPattern must still see it.
-        assert apply_patterns_greedily(wrapper, [MulToAdd(), FoldPattern()])
+        assert drive_patterns(wrapper, [MulToAdd(), FoldPattern()]).changed
         names = [op.name for op in block.ops]
         assert "arith.addi" not in names and "arith.muli" not in names
         assert isinstance(sink.operands[0].owner, arith.ConstantOp)
         assert sink.operands[0].owner.value == 4
+
+    def test_in_place_rewrite_reenqueues_the_op(self):
+        class SwapConstantLhs(RewritePattern):
+            """c + x -> x + c, in place and without notify_changed: only
+            the driver's re-push of the rewritten op can revisit it."""
+
+            root_ops = (arith.AddiOp,)
+
+            def match_and_rewrite(self, op, rewriter):
+                if not isinstance(op, arith.AddiOp):
+                    return False
+                lhs, rhs = op.lhs, op.rhs
+                if arith.constant_value(lhs) is None:
+                    return False
+                if arith.constant_value(rhs) is not None:
+                    return False
+                op.set_operand(0, rhs)
+                op.set_operand(1, lhs)
+                return True
+
+        class AddZeroRhs(RewritePattern):
+            root_ops = (arith.AddiOp,)
+
+            def match_and_rewrite(self, op, rewriter):
+                if not isinstance(op, arith.AddiOp):
+                    return False
+                if arith.constant_value(op.rhs) != 0:
+                    return False
+                rewriter.replace_values(op, [op.lhs])
+                return True
+
+        def normal_form(driver):
+            block = Block(arg_types=[i64])
+            zero = arith.ConstantOp.create(0, i64)
+            add = arith.AddiOp.create(zero.result, block.args[0])
+            block.add_ops([zero, add, scf.YieldOp.create([add.result])])
+            wrapper = _wrap(block)
+            driver(wrapper, [SwapConstantLhs(), AddZeroRhs()], 10)
+            return print_operation(wrapper)
+
+        worklist = normal_form(drive_patterns)
+        assert worklist == normal_form(_sweep_patterns)
+        assert "arith.addi" not in worklist
+
+    def test_inserted_region_ops_are_enqueued(self):
+        class MarkerToIf(RewritePattern):
+            """Replace a marker with an scf.if whose branch adds two
+            constants: the nested addi is only reachable through the
+            walk of the inserted op's regions."""
+
+            root_ops = ("test.marker",)
+
+            def match_and_rewrite(self, op, rewriter):
+                if getattr(op, "op_name", None) != "test.marker":
+                    return False
+                then = Block()
+                c1 = arith.ConstantOp.create(1, i64)
+                c2 = arith.ConstantOp.create(2, i64)
+                add = arith.AddiOp.create(c1.result, c2.result)
+                sink = UnregisteredOp("test.sink", operands=[add.result])
+                then.add_ops([c1, c2, add, sink, scf.YieldOp.create()])
+                cond = op.operands[0]
+                rewriter.replace_op(op, scf.IfOp.create(cond, then_block=then))
+                return True
+
+        def normal_form(driver):
+            block = Block(arg_types=[i1])
+            block.add_op(UnregisteredOp("test.marker", operands=[block.args[0]]))
+            wrapper = _wrap(block)
+            driver(wrapper, [MarkerToIf(), FoldPattern()], 10)
+            return print_operation(wrapper)
+
+        worklist = normal_form(drive_patterns)
+        assert worklist == normal_form(_sweep_patterns)
+        assert "arith.addi" not in worklist
 
     def test_erased_subtree_ops_are_skipped(self):
         recorder = RecordingAddPattern()
@@ -296,9 +370,7 @@ class TestWorklistIncrementality:
         wrapper = _wrap(block)
         # The if is popped first (walk order) and erased wholesale; the
         # already-queued inner addi must be skipped, not offered to patterns.
-        apply_patterns_greedily(
-            wrapper, [SimplifyConstantIfPattern(), recorder]
-        )
+        drive_patterns(wrapper, [SimplifyConstantIfPattern(), recorder])
         assert inner_add not in recorder.seen
 
     def test_nonconvergence_warns(self):
@@ -312,13 +384,11 @@ class TestWorklistIncrementality:
                     return True
                 return False
 
-        for driver in ("worklist", "sweep"):
+        for driver in (drive_patterns, _sweep_patterns):
             block, *_ = block_with_chain()
             wrapper = _wrap(block)
             with pytest.warns(PatternDriverWarning):
-                apply_patterns_greedily(
-                    wrapper, [Flipper()], max_iterations=3, driver=driver
-                )
+                driver(wrapper, [Flipper()], 3)
 
     def test_report_names_changed_scopes_only(self):
         fn_blocks = [Block(), Block()]
@@ -339,33 +409,16 @@ class TestWorklistIncrementality:
 
 
 class TestDriverSelection:
-    def test_default_is_worklist(self):
-        assert active_driver() in ("worklist", "both")
-
-    def test_use_driver_scopes_and_restores(self):
-        before = active_driver()
-        with use_driver("sweep"):
-            assert active_driver() == "sweep"
-            with use_driver("worklist"):
-                assert active_driver() == "worklist"
-            assert active_driver() == "sweep"
-        assert active_driver() == before
-
-    def test_invalid_name_rejected(self):
-        with pytest.raises(ValueError):
-            with use_driver("bogus"):
-                pass
-
     def test_drivers_agree_on_default_patterns(self):
         def canonicalized(driver):
             block, *_ = block_with_chain()
             sink = scf.YieldOp.create([block.ops[-1].results[0]])
             block.add_op(sink)
             wrapper = _wrap(block)
-            drive_patterns(wrapper, DEFAULT_PATTERNS, driver=driver)
+            driver(wrapper, DEFAULT_PATTERNS, MAX_PATTERN_ITERATIONS)
             return print_operation(wrapper)
 
-        assert canonicalized("worklist") == canonicalized("sweep")
+        assert canonicalized(drive_patterns) == canonicalized(_sweep_patterns)
 
     def test_driver_instances_are_cached(self):
         from repro.ir.rewriter import _cached_driver

@@ -161,53 +161,3 @@ class TestCrashOracle:
         assert crash[0].oracle == "crash"
         assert "optimize" in crash[0].message
         assert "kaboom" in crash[0].message
-
-
-class TestDriverDivergenceOracle:
-    def test_divergent_pass_is_caught(self):
-        from repro.dialects import arith
-        from repro.ir import active_driver, i64, use_driver
-
-        class DriverSensitive(ModulePass):
-            """Leaves an extra (dead, harmless) constant behind, but only
-            under the sweep driver: the two normal forms must differ."""
-
-            name = "test-driver-sensitive"
-
-            def apply(self, module, analyses=None) -> None:
-                if active_driver() != "sweep":
-                    return
-                for op in module.walk():
-                    if op.parent is not None:
-                        op.parent.insert_op_before(
-                            op, arith.ConstantOp.create(1234, i64)
-                        )
-                        return
-
-        pipelines = {
-            "none": PIPELINES["none"],
-            "divergent": lambda: PassManager([DriverSensitive()]),
-        }
-        with use_driver("both"):
-            failures = check_subject(subject(), pipelines, timing=False)
-        assert any(
-            f.oracle == "driver-divergence" and f.pipeline == "divergent"
-            for f in failures
-        ), [f.format() for f in failures]
-
-    def test_registered_pipelines_have_no_divergence(self):
-        from repro.ir import use_driver
-
-        with use_driver("both"):
-            failures = check_subject(subject(), timing=False)
-        assert failures == [], [f.format() for f in failures]
-
-    def test_check_only_runs_in_both_mode(self):
-        # The sweep replay doubles pipeline cost, so it is pay-to-play:
-        # outside REPRO_REWRITE_DRIVER=both the default run stays clean
-        # without ever cloning for a second driver.
-        from repro.ir import active_driver
-
-        assert active_driver() == "worklist"
-        failures = check_subject(subject(), timing=False)
-        assert failures == [], [f.format() for f in failures]
