@@ -153,6 +153,18 @@ class AcceleratorSpec(ABC):
 
     # -- timing and semantics ------------------------------------------------
 
+    @property
+    def timing_fields(self) -> tuple[str, ...]:
+        """The registers :meth:`compute_cycles`, :meth:`launch_ops` and
+        :meth:`launch_memory_bytes` read.
+
+        A device computes a launch's timing once per tuple of these
+        registers' values and reuses it, so a spec whose timing reads a
+        register must name it here.  Every field by default, which is
+        always sound; a spec names fewer to share more launches.
+        """
+        return tuple(self.fields)
+
     @abstractmethod
     def compute_cycles(self, config: dict[str, int]) -> float:
         """Cycles one launch occupies the accelerator, given its config."""

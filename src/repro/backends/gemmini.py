@@ -98,6 +98,7 @@ class GemminiSpec(AcceleratorSpec):
     concurrent_config = False
     memory_bandwidth = 16.0  # 128-bit DMA port per cycle
     fields = {spec.name: spec for spec in (*LOOP_WS_FIELDS, *EXTRA_FIELDS)}
+    timing_fields = ("op", "I", "J", "K", "D")
 
     # -- configuration interface -------------------------------------------
 

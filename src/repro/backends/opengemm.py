@@ -75,6 +75,7 @@ class OpenGeMMSpec(AcceleratorSpec):
     peak_ops_per_cycle = MESH * MESH * MESH * 2  # 1024: 512 MACs per cycle
     concurrent_config = True
     fields = {spec.name: spec for spec in CSR_FIELDS}
+    timing_fields = ("M", "K", "N")
     host_cycles_per_instr = 1.0  # Snitch-class in-order host, IPC close to 1
     memory_bandwidth = 64.0  # 512-bit scratchpad port per cycle
 

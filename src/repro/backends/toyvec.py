@@ -36,6 +36,7 @@ class ToyVecSpec(AcceleratorSpec):
     peak_ops_per_cycle = 8
     concurrent_config = True
     fields = {spec.name: spec for spec in TOYVEC_FIELDS}
+    timing_fields = ("n",)
     host_cycles_per_instr = 1.0
     memory_bandwidth = 32.0
 

@@ -13,8 +13,9 @@ messages cannot drift.  The speed comes from doing per-execution work only:
 * opcode dispatch on small ints instead of ``isinstance`` ladders;
 * SSA environments as flat lists indexed by precomputed slots;
 * host-instruction charging inlined (trace append + time bump) with each
-  record's cycles resolved once per run; the timeline derives the spans
-  from the trace (:class:`repro.sim.timeline.Timeline`).
+  record's cycles resolved once per run, and its count kept beside them
+  and handed to the trace when the run ends; the timeline derives the
+  spans from the trace (:class:`repro.sim.timeline.Timeline`).
 """
 
 from __future__ import annotations
@@ -71,17 +72,28 @@ class TraceExecutor(AccfgRuntime):
             )
         super().__init__(sim, compiled.functions, compiled.declarations)
         self.compiled = compiled
-        # id(instr) -> (cycles, instr) per distinct Instr, resolved once
-        # per run against this sim's cost model.  Keyed by identity: the
-        # frozen dataclass hash costs a Python call per lookup, and the
-        # entry keeps the record alive so its id stays put.
-        self._cost: dict[int, tuple] = {}
+        # id(instr) -> [cycles, times charged, instr] per distinct Instr
+        # charged inline, its cycles resolved once per run against this
+        # sim's cost model.  Keyed by identity: the frozen dataclass hash
+        # costs a Python call per lookup, and the entry keeps the record
+        # alive so its id stays put.
+        self._cost: dict[int, list] = {}
 
     # -- public API ------------------------------------------------------
 
     def run(self, function: str = "main", args: list[int] | None = None) -> list:
-        """Execute ``function`` to completion; returns its results."""
-        return self._enter(function, args)
+        """Execute ``function`` to completion; returns its results.
+
+        The records charged inline are counted into the trace when the run
+        ends, whether it returns or raises.
+        """
+        try:
+            return self._enter(function, args)
+        finally:
+            self.sim.trace.add_counts(
+                [(instr, times) for _, times, instr in self._cost.values() if times]
+            )
+            self._cost.clear()
 
     def _arity(self, fn: CompiledFunction) -> int:
         return fn.n_args
@@ -94,13 +106,10 @@ class TraceExecutor(AccfgRuntime):
 
     # -- dispatch loop ---------------------------------------------------
 
-    def _resolve(self, instr) -> tuple:
-        """Enter a record seen for the first time into the cost table and
-        the trace's record table."""
-        sim = self.sim
-        entry = (sim.cost_model.cycles(instr), instr)
+    def _resolve(self, instr) -> list:
+        """Enter a record seen for the first time into the cost table."""
+        entry = [self.sim.cost_model.cycles(instr), 0, instr]
         self._cost[id(instr)] = entry
-        sim.trace.records[id(instr)] = instr
         return entry
 
     def _exec(self, fn: CompiledFunction, frame: list) -> list:
@@ -108,7 +117,8 @@ class TraceExecutor(AccfgRuntime):
         code = fn.code
         cost = self._cost.get
         resolve = self._resolve
-        ctrl_cycles, _ = cost(id(CTRL_INSTR)) or resolve(CTRL_INSTR)
+        ctrl = cost(id(CTRL_INSTR)) or resolve(CTRL_INSTR)
+        ctrl_cycles = ctrl[0]
         trace_append = sim.trace.instrs.append
         pc = 0
         while True:
@@ -125,8 +135,9 @@ class TraceExecutor(AccfgRuntime):
                     raise _not_int(rhs)
                 value = evaluate(lhs, rhs)
                 frame[dst] = value & mask if mask is not None else value
-                cycles, _ = cost(id(instr)) or resolve(instr)
-                sim.host_time += cycles
+                entry = cost(id(instr)) or resolve(instr)
+                sim.host_time += entry[0]
+                entry[1] += 1
                 trace_append(instr)
                 pc += 1
                 continue
@@ -142,6 +153,7 @@ class TraceExecutor(AccfgRuntime):
                     # Increment + compare&branch of the loop back-edge: two
                     # records, so two additions, as the tree interpreter's.
                     sim.host_time = sim.host_time + ctrl_cycles + ctrl_cycles
+                    ctrl[1] += 2
                     trace_append(CTRL_INSTR)
                     trace_append(CTRL_INSTR)
                     pc += 1
@@ -158,8 +170,9 @@ class TraceExecutor(AccfgRuntime):
             if opcode == OP_CONST:
                 _, dst, value, instr = ins
                 frame[dst] = value
-                cycles, _ = cost(id(instr)) or resolve(instr)
-                sim.host_time += cycles
+                entry = cost(id(instr)) or resolve(instr)
+                sim.host_time += entry[0]
+                entry[1] += 1
                 trace_append(instr)
                 pc += 1
                 continue
@@ -170,8 +183,9 @@ class TraceExecutor(AccfgRuntime):
                 if not isinstance(cond, int):
                     raise _not_int(cond)
                 frame[dst] = frame[tv if cond else fv]
-                cycles, _ = cost(id(instr)) or resolve(instr)
-                sim.host_time += cycles
+                entry = cost(id(instr)) or resolve(instr)
+                sim.host_time += entry[0]
+                entry[1] += 1
                 trace_append(instr)
                 pc += 1
                 continue
@@ -182,6 +196,7 @@ class TraceExecutor(AccfgRuntime):
                 if not isinstance(cond, int):
                     raise _not_int(cond)
                 sim.host_time += ctrl_cycles
+                ctrl[1] += 1
                 trace_append(CTRL_INSTR)
                 pc = pc + 1 if cond else false_target
                 continue

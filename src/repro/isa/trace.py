@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
+from typing import Iterable
 
 from .instructions import HostCostModel, Instr, InstrCategory
 
@@ -21,12 +22,60 @@ class Trace:
 
     instrs: list[Instr] = field(default_factory=list)
     #: id(record) -> record for the records the charging paths entered as
-    #: they first charged them (a shared stream once, a one-off list each
-    #: time); the table holds each record, so its id cannot be reused.
-    #: :meth:`stats` reads counted records back from it.
+    #: they counted them (a shared stream's with its first charge, any
+    #: other record with its count); the table holds each record, so its
+    #: id cannot be reused.  :meth:`stats` reads counted records back from
+    #: it.
     records: dict[int, Instr] = field(
         default_factory=dict, compare=False, repr=False
     )
+    #: id(stream) -> [stream, times charged] of each shared stream the
+    #: charging paths count as a whole (:meth:`stream_counter`)
+    streams: dict[int, list] = field(default_factory=dict, compare=False, repr=False)
+    #: id(record) -> times charged, of the records counted one by one
+    #: (:meth:`add_counts`)
+    counts: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
+
+    # -- counting as charges pass -------------------------------------------
+    #
+    # Every path that appends records to ``instrs`` through a simulator
+    # also counts them here, so :meth:`stats` need not count the trace.
+    # A record appended any other way is not counted, and the counts then
+    # fall short of the trace: :meth:`counted` notices and :meth:`stats`
+    # counts the trace instead.
+
+    def stream_counter(self, stream: tuple[Instr, ...]) -> list:
+        """The ``[stream, times charged]`` cell of a shared stream, for the
+        charging path to bump on every charge; the stream's records enter
+        the record table with the first call."""
+        cell = self.streams.get(id(stream))
+        if cell is None:
+            cell = self.streams[id(stream)] = [stream, 0]
+            self.records.update(zip(map(id, stream), stream))
+        return cell
+
+    def add_counts(self, counted: Iterable[tuple[Instr, int]]) -> None:
+        """Count each ``(record, times)`` pair and enter the record."""
+        counts = self.counts
+        records = self.records
+        for instr, times in counted:
+            key = id(instr)
+            counts[key] = counts.get(key, 0) + times
+            records[key] = instr
+
+    def counted(self) -> dict[int, int] | None:
+        """id(record) -> times charged, from the counts kept as charges
+        passed, or None where they do not account for every record of
+        ``instrs`` (a trace built with :meth:`append`/:meth:`extend`)."""
+        counts = dict(self.counts)
+        for stream, times in self.streams.values():
+            if times:
+                for instr in stream:
+                    key = id(instr)
+                    counts[key] = counts.get(key, 0) + times
+        if sum(counts.values()) != len(self.instrs):
+            return None
+        return counts
 
     def append(self, instr: Instr) -> None:
         self.instrs.append(instr)
@@ -60,31 +109,30 @@ class Trace:
         unattributed host work (calc/compute/control) is always included.
         """
         cost_model = cost_model or HostCostModel()
-        # Engines append the same record object over and over, so one pass
-        # over the distinct records (counted by identity, in C) replaces a
-        # visit per executed instruction.  The counted records come back
-        # from ``records``; a trace built with ``append``/``extend`` has
-        # records that were never entered there, and pays a second pass.
-        instrs = self.instrs
-        repeats = Counter(map(id, instrs))
+        # Engines append the same record object over and over, so the
+        # statistics aggregate once per distinct record, from the counts
+        # kept as the records were charged.  A trace the counts do not
+        # cover (built with ``append``/``extend``) is counted by identity
+        # in one pass (in C) instead.
+        repeats = self.counted()
         record_of = self.records
-        if not record_of.keys() >= repeats.keys():
+        if repeats is None:
+            instrs = self.instrs
+            repeats = Counter(map(id, instrs))
             record_of = dict(zip(map(id, instrs), instrs))
         counts = dict.fromkeys(InstrCategory, 0)
-        charged: dict[InstrCategory, list] = {c: [] for c in InstrCategory}
         config_bytes = 0
         for key, k in repeats.items():
             instr = record_of[key]
             owner = instr.accelerator
             if accelerator is not None and owner not in (None, accelerator):
                 continue
-            category = instr.category
-            counts[category] += k
-            # The cost model prices a record by its category, so a category
-            # sums the same equal terms as a sum over the trace in order.
-            charged[category].append(repeat(cost_model.cycles(instr), k))
+            counts[instr.category] += k
             if instr.config_bytes and accelerator in (None, owner):
                 config_bytes += instr.config_bytes * k
+        # The cost model prices a record by its category, so a category
+        # sums the same equal terms as a sum over the trace in order.
+        cycles_of = cost_model.cycles_by_category
         return TraceStats(
             total_instrs=sum(counts.values()),
             setup_instrs=counts[InstrCategory.SETUP],
@@ -95,8 +143,8 @@ class Trace:
             sync_instrs=counts[InstrCategory.SYNC],
             config_bytes=config_bytes,
             cycles_by_category={
-                category: sum(chain.from_iterable(runs))
-                for category, runs in charged.items()
+                category: sum(repeat(cycles_of[category], k))
+                for category, k in counts.items()
             },
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..backends.base import get_accelerator
-from ..isa.instructions import HostCostModel, Instr, sync_instr
+from ..isa.instructions import HostCostModel, Instr
 from ..isa.trace import Trace
 from .device import AcceleratorDevice, FaultError, LaunchToken
 from .memory import Memory
@@ -54,10 +54,10 @@ class CoSimulator:
         self.trace = Trace()
         self.timeline = Timeline(self.trace.instrs, self.cost_model)
         self._devices: dict[str, AcceleratorDevice] = {}
-        #: id(stream) -> (charge plan, stream) for every shared stream this
-        #: simulator charged; the entry holds the stream, so the id stays
-        #: valid while the plan does
-        self._plans: dict[int, tuple[tuple, tuple[Instr, ...]]] = {}
+        #: id(stream) -> (cycles, stall flags, the trace's counter cell) of
+        #: every shared stream this simulator charged (:meth:`_plan`); the
+        #: cell holds the stream, so the id stays valid while the plan does
+        self._plans: dict[int, tuple[tuple, tuple | None, list]] = {}
         # -- fault injection / recovery runtime (repro.faults) -------------
         #: attached fault injector; None keeps the fault-free fast paths
         self.faults = faults
@@ -105,46 +105,56 @@ class CoSimulator:
         logs only the label.  A tuple is taken to be a shared stream (a
         spec's ``*_instrs_cached`` streams, the interpreter's per-op
         records): its plan is resolved on first charge and kept for this
-        simulator's life.  Any other iterable is resolved afresh, so a
-        one-off stream should not come as a tuple.
+        simulator's life, and each charge counts it once into the trace
+        (:meth:`~repro.isa.trace.Trace.stream_counter`).  Any other
+        iterable is resolved and counted record by record, so a one-off
+        stream should not come as a tuple.
         """
+        trace = self.trace
         if type(instrs) is tuple:
             entry = self._plans.get(id(instrs))
             if entry is None:
-                entry = self._plans[id(instrs)] = (self._plan(instrs), instrs)
-                self.trace.records.update(zip(map(id, instrs), instrs))
-            plan = entry[0]
+                entry = self._plans[id(instrs)] = (
+                    *self._plan(instrs),
+                    trace.stream_counter(instrs),
+                )
+            plan, stalls, counter = entry
+            counter[1] += 1
         else:
             instrs = list(instrs)  # any iterable, read more than once below
-            plan = self._plan(instrs)
-            self.trace.records.update(zip(map(id, instrs), instrs))
+            plan, stalls = self._plan(instrs)
+            trace.add_counts((instr, 1) for instr in instrs)
         time = self.host_time
-        for cycles, stall in plan:
-            end = time + cycles
-            if stall:
-                self.host_stall_cycles += end - time
-            time = end
-        self.trace.instrs.extend(instrs)
+        if stalls is None:
+            for cycles in plan:
+                time += cycles
+        else:
+            for cycles, stall in zip(plan, stalls):
+                end = time + cycles
+                if stall:
+                    self.host_stall_cycles += end - time
+                time = end
+        trace.instrs.extend(instrs)
         self.host_time = time
         if label and plan:
             self.timeline.labeled(len(instrs), label)
 
-    def _plan(self, instrs: Sequence[Instr]) -> tuple:
-        """(cycles, whether its span is a stall) of each record that takes
-        time, in order.
+    def _plan(self, instrs: Sequence[Instr]) -> tuple[tuple, tuple | None]:
+        """The cycles of each record that takes time, in order, and whether
+        each one's span is a stall (None where none is).
 
         Records of zero cycles leave no span and do not move the clock
         (adding zero is exact), so replaying only these is the per-record
         definition.
         """
         cycles_of = self.cost_model.cycles_by_category
-        plan = []
-        for instr in instrs:
-            cycles = cycles_of[instr.category]
-            if cycles > 0:
-                kind = _SPAN_FOR_CATEGORY[instr.category]
-                plan.append((cycles, kind is SpanKind.STALL))
-        return tuple(plan)
+        timed = [
+            (cycles_of[instr.category], _SPAN_FOR_CATEGORY[instr.category])
+            for instr in instrs
+            if cycles_of[instr.category] > 0
+        ]
+        stalls = tuple(kind is SpanKind.STALL for _, kind in timed)
+        return tuple(cycles for cycles, _ in timed), stalls if any(stalls) else None
 
     def charge_one(self, instr: Instr, label: str = "") -> None:
         self.charge([instr], label)
@@ -206,9 +216,8 @@ class CoSimulator:
                     device.spec.launch_field_instrs_cached(tuple(launch_fields)),
                     device.launch_config_label,
                 )
-            launch = device.spec.launch_instrs_cached()
-            if launch:  # empty for a launch-semantic interface (Gemmini)
-                self.charge(launch, device.launch_label)
+            if device.launch_stream:  # empty for a launch-semantic interface
+                self.charge(device.launch_stream, device.launch_label)
         token = device.launch(
             self.host_time, launch_fields or {}, functional=self.functional
         )
@@ -225,7 +234,7 @@ class CoSimulator:
     def exec_await(self, token: LaunchToken) -> None:
         """Perform one ``accfg.await``: poll until the launch completes."""
         device = token.device
-        self.charge(device.spec.sync_instrs_cached(), device.await_label)
+        self.charge(device.sync_stream, device.await_label)
         if self.faults is not None:
             self._watchdog_await(device)
         self.stall_until(token.end, device.await_label)
@@ -269,9 +278,7 @@ class CoSimulator:
 
         if self.faults.should(FaultKind.STATE_LOSS, device.name):
             device.power_cycle()
-        self.charge_one(
-            sync_instr("epoch", device.name), f"epoch-check {device.name}"
-        )
+        self.charge(device.epoch_stream, device.epoch_label)
         self.recovery_stats.verify_reads += 1
         if self._epoch_seen.get(device.name, 0) != device.hw_epoch:
             self._epoch_seen[device.name] = device.hw_epoch
@@ -346,10 +353,7 @@ class CoSimulator:
             self.stall_until(start, "sequential-config stall")
             self.charge(spec.setup_instrs_cached(tuple(pending)), label)
             # Read-back verification: one status/register read per field.
-            self.charge(
-                [sync_instr("verify", device.name)] * len(pending),
-                f"verify {device.name}",
-            )
+            self.charge([device.verify_instr] * len(pending), device.verify_label)
             stats.verify_reads += len(pending)
             effective = device.effective_config()
             failed = {
@@ -415,14 +419,10 @@ class CoSimulator:
                     device.spec.launch_field_instrs_cached(tuple(launch_fields)),
                     device.launch_config_label,
                 )
-            launch = device.spec.launch_instrs_cached()
-            if launch:
-                self.charge(launch, device.launch_label)
+            if device.launch_stream:
+                self.charge(device.launch_stream, device.launch_label)
             # Acknowledge read: did the interface accept the command?
-            self.charge_one(
-                sync_instr("launch-ack", device.name),
-                f"launch-ack {device.name}",
-            )
+            self.charge(device.ack_stream, device.ack_label)
             stats.verify_reads += 1
             if not self.faults.should(FaultKind.LAUNCH_REJECT, device.name):
                 return
@@ -463,9 +463,7 @@ class CoSimulator:
                 self.host_time + policy.backoff(attempt),
                 f"watchdog backoff {device.name}",
             )
-            self.charge(
-                device.spec.sync_instrs_cached(), f"watchdog poll {device.name}"
-            )
+            self.charge(device.sync_stream, f"watchdog poll {device.name}")
             stats.watchdog_polls += 1
         if polls > policy.max_retries:
             stats.unrecovered += 1

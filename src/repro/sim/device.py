@@ -18,7 +18,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..backends.base import AcceleratorSpec
+from ..isa.instructions import sync_instr
 from .memory import Memory
+
+#: Launch timings a device keeps, one per distinct tuple of its spec's
+#: ``timing_fields`` values; the memo is cleared when it fills.  A figure
+#: run needs at most 4.
+TIMING_MEMO_BOUND = 1024
 
 
 class SimulationError(Exception):
@@ -64,6 +70,22 @@ class AcceleratorDevice:
         self.launch_config_label = f"launch-config {spec.name}"
         self.launch_label = f"launch {spec.name}"
         self.await_label = f"await {spec.name}"
+        #: the spec's shared launch and completion-poll streams
+        self.launch_stream = spec.launch_instrs_cached()
+        self.sync_stream = spec.sync_instrs_cached()
+        #: the recovery runtime's reads (hardware epoch, one register
+        #: read-back, launch acknowledge), each one shared record, with
+        #: their labels: a faulted run's record table does not grow with
+        #: its checks
+        self.epoch_stream = (sync_instr("epoch", spec.name),)
+        self.epoch_label = f"epoch-check {spec.name}"
+        self.verify_instr = sync_instr("verify", spec.name)
+        self.verify_label = f"verify {spec.name}"
+        self.ack_stream = (sync_instr("launch-ack", spec.name),)
+        self.ack_label = f"launch-ack {spec.name}"
+        self._timing_fields = spec.timing_fields
+        #: timing-field values -> (cycles, ops, memory bytes) of a launch
+        self._timing: dict[tuple, tuple] = {}
         self.registers: dict[str, int] = {}
         self.staged: dict[str, int] = {}
         self.busy_until: float = 0.0
@@ -163,18 +185,31 @@ class AcceleratorDevice:
         Section 2.2 models single-level staging).
         """
         start = max(now, self.busy_until)
-        if self.spec.concurrent_config and self.staged:
-            self.registers.update(self.staged)
+        spec = self.spec
+        registers = self.registers
+        if spec.concurrent_config and self.staged:
+            registers.update(self.staged)
             self.staged.clear()
         if launch_fields:
             for name, value in launch_fields.items():
-                self.registers[name] = int(value)
-        config = dict(self.registers)
-        cycles = self.spec.compute_cycles(config)
-        ops = self.spec.launch_ops(config)
-        self.total_memory_bytes += self.spec.launch_memory_bytes(config)
+                registers[name] = int(value)
+        # The timing is a function of the timing fields alone, so it is
+        # computed once per tuple of their values (absent ones read None).
+        key = tuple(map(registers.get, self._timing_fields))
+        timing = self._timing.get(key)
+        if timing is None:
+            if len(self._timing) >= TIMING_MEMO_BOUND:
+                self._timing.clear()
+            config = dict(registers)
+            timing = self._timing[key] = (
+                spec.compute_cycles(config),
+                spec.launch_ops(config),
+                spec.launch_memory_bytes(config),
+            )
+        cycles, ops, memory_bytes = timing
+        self.total_memory_bytes += memory_bytes
         if functional:
-            self.spec.execute(config, self.memory)
+            spec.execute(dict(registers), self.memory)
         end = start + cycles
         self.busy_until = end
         self.launch_count += 1

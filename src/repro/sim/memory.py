@@ -16,6 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Tile views a memory keeps for reuse (:meth:`Memory.read_matrix`,
+#: :meth:`Memory.write_matrix`); the memo is cleared when it fills.  A
+#: figure run touches at most 1,088 distinct tiles.
+TILE_MEMO_BOUND = 4096
+
 
 class MemoryError_(Exception):
     """Raised on bad simulated-memory accesses."""
@@ -88,6 +93,11 @@ class Memory:
         #: int32), so an access passing it needs no dtype comparison.
         self._regions: list[tuple] = []
         self._snapshots: list[MemorySnapshot] = []
+        #: the strided view each tile access resolved, keyed by (addr,
+        #: rows, cols, row stride, dtype) for a read and (addr, shape, row
+        #: stride, dtype) for a write; regions never move, so a view stays
+        #: valid for the memory's life
+        self._views: dict[tuple, np.ndarray] = {}
 
     def _add(self, buffer: Buffer) -> None:
         dtype = buffer.array.dtype
@@ -145,6 +155,7 @@ class Memory:
         for buffer in self._buffers:
             clone._add(Buffer(buffer.addr, buffer.array.copy()))
         clone._snapshots = []
+        clone._views = {}
         return clone
 
     def _align(self, addr: int) -> int:
@@ -201,13 +212,25 @@ class Memory:
             (row_stride * itemsize, itemsize),
         )
 
+    def _view(self, key: tuple, tile: np.ndarray) -> None:
+        """Keep the view of the tile ``key`` names for later accesses."""
+        views = self._views
+        if len(views) >= TILE_MEMO_BOUND:
+            views.clear()
+        views[key] = tile
+
     def read_matrix(
         self, addr: int, rows: int, cols: int, row_stride: int, dtype
     ) -> np.ndarray:
         """Read a ``rows x cols`` matrix; ``row_stride`` in elements."""
+        key = (addr, rows, cols, row_stride, dtype)
+        tile = self._views.get(key)
+        if tile is not None:
+            return tile.copy()
         flat, offset = self._flat_view(addr, dtype)
         tile = self._tile(flat, offset, rows, cols, row_stride)
         if tile is not None:
+            self._view(key, tile)
             return tile.copy()
         out = np.empty((rows, cols), dtype=dtype)
         for r in range(rows):
@@ -228,10 +251,17 @@ class Memory:
             buffer = self.buffer_at(addr)
             for snap in self._snapshots:
                 snap._before_write(buffer)
-        flat, offset = self._flat_view(addr, values.dtype)
+        dtype = values.dtype
+        key = (addr, values.shape, row_stride, dtype)
+        tile = self._views.get(key)
+        if tile is not None:
+            tile[...] = values
+            return
+        flat, offset = self._flat_view(addr, dtype)
         rows, cols = values.shape
         tile = self._tile(flat, offset, rows, cols, row_stride)
         if tile is not None:
+            self._view(key, tile)
             tile[...] = values
             return
         for r in range(rows):

@@ -48,12 +48,12 @@ _SPAN_FOR_CATEGORY = {
 }
 
 # Log entries.  Each is tagged and carries the trace position (the number
-# of records charged before it) at which it happened.  Only a kept span
+# of records charged before it) at which it happened.  Only a recorded span
 # holds a span kind, an object the collector tracks, so it untracks every
 # other entry once it has seen it.
 _RUN = 0  # (_RUN, position, end position, label): records under a label
 _STALL = 1  # (_STALL, position, end time, label): the host waits
-_SPAN = 2  # (_SPAN, position, span): any other span, kept as given
+_SPAN = 2  # (_SPAN, position, actor, kind, start, end, label): any other span
 
 
 class Span(NamedTuple):
@@ -116,8 +116,9 @@ class Timeline:
     ) -> None:
         """Any other span; it does not move the host clock."""
         if end > start:
-            span = tuple.__new__(Span, (actor, kind, start, end, label))
-            self._log.append((_SPAN, len(self._instrs), span))
+            self._log.append(
+                (_SPAN, len(self._instrs), actor, kind, start, end, label)
+            )
 
     # -- replay ----------------------------------------------------------
 
@@ -163,7 +164,7 @@ class Timeline:
                 )
                 time = end
             else:
-                spans.append(entry[2])
+                spans.append(tuple.__new__(Span, entry[2:]))
         _host_spans(spans, costs, instrs[done:], time, "")
         self._replayed = (len(self._log), len(instrs), spans)
         return spans

@@ -1,13 +1,14 @@
 """Tests for instruction records, cost model, and trace statistics."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.backends import get_accelerator
 from repro.engine import run_module_traced
 from repro.experiments import fig10_gemmini, fig11_opengemm
-from repro.faults import FaultInjector, FaultRates, ReliancePlan
+from repro.faults import FaultInjector, FaultRates, RecoveryPolicy, ReliancePlan
 from repro.interp import InterpreterError, run_module
 from repro.isa import (
     HostCostModel,
@@ -209,6 +210,38 @@ class TestStatsDefinition:
             assert (type(got), repr(got)) == (type(cycles), repr(cycles))
 
 
+def _assert_counted(trace: Trace) -> None:
+    """The counts kept as the records were charged account for every record
+    of the trace, one by one."""
+    counted = trace.counted()
+    assert counted is not None
+    assert counted == Counter(map(id, trace.instrs))
+
+
+def _assert_counted_stats(sim: CoSimulator, accelerator: str | None = None) -> None:
+    _assert_counted(sim.trace)
+    for owner in {None, accelerator}:
+        assert sim.trace.stats(sim.cost_model, owner) == _per_instruction_stats(
+            sim.trace, sim.cost_model, owner
+        )
+
+
+#: (build, pipeline) of the figure programs the counted statistics run
+FIGURE_PROGRAMS = [
+    (build_gemmini_matmul, fig10_gemmini.OPTIMIZED_PIPELINE),
+    (build_gemmini_matmul, fig10_gemmini.BASELINE_PIPELINE),
+    (build_opengemm_matmul, fig11_opengemm.VARIANTS[-1]),
+    (build_opengemm_matmul, fig11_opengemm.VARIANTS[0]),
+]
+
+
+def _figure_sim(build, pipeline, size=32, **options):
+    workload = build(size)
+    pipeline_by_name(pipeline).run(workload.module)
+    model = get_accelerator(workload.accelerator).host_cost_model()
+    return workload, CoSimulator(memory=workload.memory, cost_model=model, **options)
+
+
 def _counted_outside_table(trace: Trace) -> list[Instr]:
     return [instr for instr in trace.instrs if id(instr) not in trace.records]
 
@@ -216,7 +249,14 @@ def _counted_outside_table(trace: Trace) -> list[Instr]:
 class TestRecordTable:
     """The charging paths enter every record they charge into the trace's
     record table, so :meth:`Trace.stats` reads the counted records back
-    from it instead of taking a second pass over the trace."""
+    from it instead of taking a second pass over the trace.
+
+    They also count what they charge (a shared stream once per charge, a
+    one-off list's records one by one, the trace engine's inline records
+    when a run returns or raises), so :meth:`Trace.stats` takes no pass
+    over the trace at all: the ``test_counts_*`` tests hold the counted
+    statistics to the per-instruction definition, and a trace the counts
+    do not cover takes the counting pass."""
 
     @staticmethod
     def _run(engine, built, sim):
@@ -291,3 +331,70 @@ class TestRecordTable:
         sim.charge_one(alu())
         assert sim.trace.records
         assert sim.trace == Trace(list(sim.trace.instrs))
+
+    @pytest.mark.parametrize("engine", [run_module_traced, run_module])
+    @pytest.mark.parametrize("case", range(len(FIGURE_PROGRAMS)))
+    def test_counts_cover_figure_programs(self, engine, case):
+        workload, sim = _figure_sim(*FIGURE_PROGRAMS[case])
+        engine(workload.module, sim, args=workload.main_args)
+        assert workload.check()
+        _assert_counted_stats(sim, workload.accelerator)
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faulted"])
+    @pytest.mark.parametrize("engine", [run_module_traced, run_module])
+    def test_counts_cover_generated_programs(self, engine, faults):
+        runs = 0
+        for backend in sorted(PROFILES):
+            for seed in range(8):
+                spec = generate_spec(random.Random(7100 + seed), backend)
+                built = build_spec(spec, memory_seed=seed)
+                pipeline = ("none", "baseline", "dedup", "overlap", "full")[seed % 5]
+                pipeline_by_name(pipeline).run(built.module)
+                sim = CoSimulator(
+                    memory=built.memory,
+                    faults=FaultInjector(seed, FaultRates.uniform(0.15))
+                    if faults
+                    else None,
+                    reliance=ReliancePlan(built.module) if faults else None,
+                )
+                self._run(engine, built, sim)
+                _assert_counted_stats(sim, backend)
+                runs += bool(sim.trace.instrs)
+        assert runs >= 20
+
+    @pytest.mark.parametrize("engine", [run_module_traced, run_module])
+    def test_counts_cover_one_simulator_run_twice(self, engine):
+        workload, sim = _figure_sim(*FIGURE_PROGRAMS[0])
+        engine(workload.module, sim, args=workload.main_args)
+        once = len(sim.trace.instrs)
+        engine(workload.module, sim, args=workload.main_args)
+        assert len(sim.trace.instrs) == 2 * once
+        _assert_counted_stats(sim, workload.accelerator)
+
+    def test_counts_cover_a_run_that_raises_midway(self):
+        """An undetected fault ends the run at an op; what the trace engine
+        charged inline before that is counted all the same."""
+        workload, sim = _figure_sim(
+            *FIGURE_PROGRAMS[2],
+            faults=FaultInjector(1, FaultRates(state_loss=0.2)),
+            recovery=RecoveryPolicy(enabled=False),
+        )
+        with pytest.raises(InterpreterError, match="state loss detected"):
+            run_module_traced(workload.module, sim, args=workload.main_args)
+        assert sim.trace.count(InstrCategory.CALC) > 0
+        _assert_counted_stats(sim, workload.accelerator)
+
+    def test_a_trace_extended_by_hand_takes_the_counting_pass(self):
+        sim = CoSimulator()
+        spec = get_accelerator("opengemm")
+        for _ in range(3):
+            sim.charge(spec.setup_instrs_cached(("M", "K")), "setup")
+            sim.charge_one(alu())
+        _assert_counted(sim.trace)
+        sim.trace.extend([alu(), config_write("csrw", "opengemm", 4)])
+        sim.trace.append(sync_instr("poll", "opengemm"))
+        assert sim.trace.counted() is None
+        for accelerator in (None, "opengemm", "gemmini"):
+            assert sim.trace.stats(sim.cost_model, accelerator) == (
+                _per_instruction_stats(sim.trace, sim.cost_model, accelerator)
+            )

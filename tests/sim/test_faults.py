@@ -17,7 +17,7 @@ from repro.faults import (
     FaultRates,
     RecoveryPolicy,
 )
-from repro.isa import HostCostModel
+from repro.isa import HostCostModel, InstrCategory
 from repro.sim import CoSimulator, Memory
 from repro.sim.device import FaultError
 
@@ -255,3 +255,57 @@ class TestDegradation:
         assert sim.recovery_stats.degradations == 1
         # Degradation committed the staged writes; nothing was lost.
         assert device.effective_config()["op"] == 1
+
+
+class TestFaultRecordsPerDevice:
+    """The epoch, verify and launch-ack reads are records held on the
+    device, charged with its labels: a faulted run's record table does not
+    grow with the number of checks it makes."""
+
+    @staticmethod
+    def faulted_run(size: int) -> CoSimulator:
+        from repro.backends import get_accelerator
+        from repro.engine import run_module_traced
+        from repro.faults import ReliancePlan
+        from repro.passes import pipeline_by_name
+        from repro.workloads import build_opengemm_matmul
+
+        workload = build_opengemm_matmul(size)
+        pipeline_by_name("full").run(workload.module)
+        sim = CoSimulator(
+            memory=workload.memory,
+            cost_model=get_accelerator("opengemm").host_cost_model(),
+            faults=FaultInjector(5, FaultRates(state_loss=0.1)),
+            reliance=ReliancePlan(workload.module),
+        )
+        run_module_traced(workload.module, sim, args=workload.main_args)
+        assert workload.check()
+        return sim
+
+    def test_the_record_table_does_not_grow_with_the_checks(self):
+        small, large = self.faulted_run(32), self.faulted_run(64)
+        assert large.recovery_stats.verify_reads > 3 * small.recovery_stats.verify_reads
+        assert len(large.trace.records) <= len(small.trace.records)
+        for sim in (small, large):
+            device = sim.device("opengemm")
+            held = [
+                *device.sync_stream,
+                *device.epoch_stream,
+                device.verify_instr,
+                *device.ack_stream,
+            ]
+            sync_records = [
+                instr
+                for instr in sim.trace.records.values()
+                if instr.category is InstrCategory.SYNC
+            ]
+            assert {id(instr) for instr in sync_records} == {id(i) for i in held}
+
+    def test_the_reads_carry_the_device_labels(self):
+        sim = self.faulted_run(32)
+        labels = {span.label for span in sim.timeline.spans if span.actor == "host"}
+        assert {
+            "epoch-check opengemm",
+            "verify opengemm",
+            "launch-ack opengemm",
+        } <= labels

@@ -230,3 +230,110 @@ class TestStridedTiles:
         mem.write_matrix(buf.addr + 4 * 5, np.zeros((2, 2), np.int32), 4)
         assert (snapshot[0] == np.arange(16).reshape(4, 4)).all()
         assert buf.array[1, 1] == 0 and buf.array[2, 2] == 0
+
+
+class TestTileMemo:
+    """A tile's strided view is resolved once per (address, shape, stride,
+    dtype) and reused; every check and message stays as it was without
+    the memo, and the memo stays within its bound."""
+
+    @staticmethod
+    def _error(access) -> str:
+        with pytest.raises(MemoryError_) as error:
+            access()
+        return str(error.value)
+
+    def test_a_read_with_another_dtype_raises_as_before(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int8))
+        fresh = mem.duplicate()
+        assert mem.read_matrix(buf.addr, 2, 2, 4, np.int8).tolist() == [[0, 1], [4, 5]]
+        assert mem._views
+        for dtype in (np.int32, np.int16, "int32"):
+            assert self._error(
+                lambda: mem.read_matrix(buf.addr, 2, 2, 4, dtype)
+            ) == self._error(lambda: fresh.read_matrix(buf.addr, 2, 2, 4, dtype))
+
+    def test_a_write_with_another_dtype_raises_as_before(self):
+        mem = Memory()
+        buf = mem.alloc(16, np.int32)
+        fresh = mem.duplicate()
+        mem.write_matrix(buf.addr, np.ones((2, 2), np.int32), 4)
+        values = np.ones((2, 2), np.int8)
+        message = self._error(lambda: mem.write_matrix(buf.addr, values, 4))
+        assert message == self._error(lambda: fresh.write_matrix(buf.addr, values, 4))
+        assert "with dtype int8 but region holds int32" in message
+
+    def test_an_overrunning_tile_gives_the_same_message(self):
+        mem = Memory()
+        buf = mem.alloc(16, np.int8)
+        fresh = mem.duplicate()
+        mem.read_matrix(buf.addr, 2, 4, 5, np.int8)
+        mem.write_matrix(buf.addr, np.ones((2, 4), np.int8), 5)
+        read = self._error(lambda: mem.read_matrix(buf.addr, 4, 4, 5, np.int8))
+        assert read == self._error(lambda: fresh.read_matrix(buf.addr, 4, 4, 5, np.int8))
+        assert "(row 3, stride 5)" in read
+        values = np.full((4, 4), 2, np.int8)
+        write = self._error(lambda: mem.write_matrix(buf.addr, values, 5))
+        assert write == self._error(lambda: fresh.write_matrix(buf.addr, values, 5))
+        assert buf.array[:14].tolist() == fresh.buffers[0].array[:14].tolist()
+
+    def test_a_misaligned_access_raises_as_before(self):
+        mem = Memory()
+        buf = mem.alloc(16, np.int32)
+        fresh = mem.duplicate()
+        mem.read_matrix(buf.addr + 4, 1, 2, 2, np.int32)
+        mem.write_matrix(buf.addr + 4, np.ones((1, 2), np.int32), 2)
+        for addr in (buf.addr + 2, buf.addr + 6):
+            message = self._error(lambda: mem.read_matrix(addr, 1, 2, 2, np.int32))
+            assert message == f"misaligned access at {addr:#x}"
+            assert message == self._error(
+                lambda: fresh.read_matrix(addr, 1, 2, 2, np.int32)
+            )
+            assert message == self._error(
+                lambda: mem.write_matrix(addr, np.ones((1, 2), np.int32), 2)
+            )
+
+    def test_a_snapshot_before_a_memoized_write_keeps_the_old_bytes(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int32).reshape(4, 4))
+        mem.write_matrix(buf.addr + 4 * 5, np.full((2, 2), 7, np.int32), 4)
+        assert mem._views  # the next write at this tile reuses the view
+        before = mem.snapshot()
+        mem.write_matrix(buf.addr + 4 * 5, np.zeros((2, 2), np.int32), 4)
+        old = np.arange(16, dtype=np.int32).reshape(4, 4)
+        old[1:3, 1:3] = 7
+        assert (before[0] == old).all()
+        assert buf.array[1:3, 1:3].tolist() == [[0, 0], [0, 0]]
+
+    def test_duplicate_shares_no_view(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int32))
+        mem.read_matrix(buf.addr, 2, 2, 4, np.int32)
+        mem.write_matrix(buf.addr, np.full((2, 2), 5, np.int32), 4)
+        clone = mem.duplicate()
+        assert clone._views == {}
+        clone.write_matrix(buf.addr, np.full((2, 2), 9, np.int32), 4)
+        assert clone.read_matrix(buf.addr, 2, 2, 4, np.int32).tolist() == [[9, 9], [9, 9]]
+        assert mem.read_matrix(buf.addr, 2, 2, 4, np.int32).tolist() == [[5, 5], [5, 5]]
+        for view in clone._views.values():
+            assert not np.shares_memory(view, buf.array)
+
+    def test_more_distinct_tiles_than_the_bound(self):
+        from repro.sim.memory import TILE_MEMO_BOUND
+
+        mem = Memory()
+        count = TILE_MEMO_BOUND + 300
+        buf = mem.alloc(count + 1, np.int32)
+        for index in range(count):
+            mem.write_matrix(buf.addr + 4 * index, np.full((1, 2), index, np.int32), 2)
+            assert len(mem._views) <= TILE_MEMO_BOUND
+        assert buf.array[:count].tolist() == list(range(count))
+        for index in range(count):
+            tile = mem.read_matrix(buf.addr + 4 * index, 1, 1, 1, np.int32)
+            assert tile.tolist() == [[index]]
+            assert len(mem._views) <= TILE_MEMO_BOUND
+        # A second pass meets evicted and kept views alike.
+        for index in range(count - 1, -1, -1):
+            mem.write_matrix(buf.addr + 4 * index, np.full((1, 1), -index, np.int32), 1)
+        assert buf.array[:count].tolist() == [-index for index in range(count)]
