@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..ir.location import SourceLoc
 from ..ir.operation import Operation
 from ..ir.printer import print_operation
 
@@ -44,7 +43,7 @@ class Diagnostic:
     notes: list[str] = field(default_factory=list)
 
     @property
-    def loc(self) -> SourceLoc | None:
+    def loc(self) -> str | None:
         return self.op.loc if self.op is not None else None
 
     def with_note(self, note: str) -> "Diagnostic":
@@ -73,7 +72,7 @@ class Diagnostic:
             "code": self.code,
             "severity": str(self.severity),
             "message": self.message,
-            "loc": str(self.loc) if self.loc is not None else None,
+            "loc": self.loc,
             "excerpt": self.excerpt(),
             "notes": list(self.notes),
             "fixit": fixit,

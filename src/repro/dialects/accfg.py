@@ -186,19 +186,18 @@ def host_effect(op: Operation) -> HostEffect | None:
 
 @register_attr_parser("accfg")
 def _parse_accfg_attr(parser) -> EffectsAttr:
-    token = parser.expect_kind("HASHID")
-    if token.text != "#accfg.effects":
-        raise parser.error(f"unknown accfg attribute '{token.text}'")
+    name = parser.expect_kind("HASHID")[1]
+    if name != "#accfg.effects":
+        raise parser.error(f"unknown accfg attribute '{name}'")
     parser.expect("<")
-    effects = parser.expect_kind("ID").text
+    effects = parser.expect_kind("ID")[1]
     parser.expect(">")
     return EffectsAttr(effects)
 
 
 @register_type_parser("accfg")
 def _parse_accfg_type(parser) -> TypeAttribute:
-    token = parser.expect_kind("BANGID")
-    kind = token.text[len("!accfg.") :]
+    kind = parser.expect_kind("BANGID")[1][len("!accfg.") :]
     parser.expect("<")
     accelerator = parser.parse_string()
     parser.expect(">")

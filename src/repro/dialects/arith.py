@@ -581,7 +581,7 @@ class CmpiOp(ScalarOp):
 
 @register_custom_parser("arith.cmpi")
 def _parse_cmpi(parser) -> CmpiOp:
-    predicate = parser.expect_kind("ID").text
+    predicate = parser.expect_kind("ID")[1]
     parser.expect(",")
     lhs = parser.parse_value_use()
     parser.expect(",")

@@ -126,18 +126,18 @@ class FuncOp(Operation):
 @register_custom_parser("func.func")
 def _parse_func(parser) -> FuncOp:
     name_token = parser.expect_kind("AT")
-    sym_name = name_token.text[1:]
+    sym_name = name_token[1][1:]
     parser.expect("(")
     arg_entries: list[tuple[str, TypeAttribute]] = []
     input_types: list[TypeAttribute] = []
     is_declaration = False
     if not parser.accept(")"):
-        if parser.current.kind == "PERCENT":
+        if parser.current[0] == "PERCENT":
             while True:
                 arg_token = parser.expect_kind("PERCENT")
                 parser.expect(":")
                 arg_type = parser.parse_type()
-                arg_entries.append((arg_token.text[1:], arg_type))
+                arg_entries.append((arg_token[1][1:], arg_type))
                 input_types.append(arg_type)
                 if not parser.accept(","):
                     break
@@ -150,7 +150,7 @@ def _parse_func(parser) -> FuncOp:
     parser.expect("->")
     result_types = parser.parse_type_list()
     function_type = FunctionType(tuple(input_types), tuple(result_types))
-    if is_declaration or parser.current.text != "{":
+    if is_declaration or parser.current[1] != "{":
         return FuncOp.declaration(sym_name, function_type)
     region = parser.parse_region(entry_args=arg_entries)
     op = FuncOp(regions=[region])
@@ -182,7 +182,7 @@ class ReturnOp(Operation):
 @register_custom_parser("func.return")
 def _parse_return(parser) -> ReturnOp:
     values = []
-    if parser.current.kind == "PERCENT":
+    if parser.current[0] == "PERCENT":
         values.append(parser.parse_value_use())
         while parser.accept(","):
             values.append(parser.parse_value_use())
@@ -238,4 +238,4 @@ def _parse_call(parser) -> CallOp:
     parser.expect(")")
     parser.expect(":")
     function_type = parser.parse_function_type()
-    return CallOp.create(callee_token.text[1:], arguments, list(function_type.results))
+    return CallOp.create(callee_token[1][1:], arguments, list(function_type.results))

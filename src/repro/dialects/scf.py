@@ -40,7 +40,7 @@ class YieldOp(Operation):
 @register_custom_parser("scf.yield")
 def _parse_yield(parser) -> YieldOp:
     values = []
-    if parser.current.kind == "PERCENT":
+    if parser.current[0] == "PERCENT":
         values.append(parser.parse_value_use())
         while parser.accept(","):
             values.append(parser.parse_value_use())
@@ -131,7 +131,7 @@ class ForOp(Operation):
         self.set_operands([*self.operands, init])
         arg = self.body.add_arg(init.type, name_hint)
         result = OpResult(init.type, self, len(self.results), name_hint)
-        self.results.append(result)
+        self.results = (*self.results, result)
         if yielded is not None:
             self.yield_op.set_operands([*self.yield_op.operands, yielded])
         return arg, result
@@ -232,14 +232,14 @@ def _parse_for(parser) -> ForOp:
             name_token = parser.expect_kind("PERCENT")
             parser.expect("=")
             init = parser.parse_value_use()
-            iter_names.append(name_token.text[1:])
+            iter_names.append(name_token[1][1:])
             iter_inits.append(init)
             if not parser.accept(","):
                 break
         parser.expect(")")
         parser.expect("->")
         parser.parse_type_list()
-    entry_args = [(iv_token.text[1:], lb.type)] + [
+    entry_args = [(iv_token[1][1:], lb.type)] + [
         (name, init.type) for name, init in zip(iter_names, iter_inits)
     ]
     region = parser.parse_region(entry_args=entry_args)

@@ -57,7 +57,9 @@ from .compiler import CompiledModule
 #: Version 4: traces are filed under the digest of ``structural_key``.
 #: Version 5: ``arith.cmpi`` compiles to ``OP_BINOP`` with its predicate
 #: function, and the compare opcode's successors are renumbered.
-SCHEMA = "repro-cache/5"
+#: Version 6: runtime records carry source locations as text, not
+#: ``SourceLoc`` objects.
+SCHEMA = "repro-cache/6"
 
 #: Default size bound of one store directory (plenty for every fuzz/CI
 #: workload; a full 200-iteration three-backend fuzz run compiles ~2k

@@ -5,9 +5,13 @@ produces SSA results, carries a dictionary of attributes, and may contain
 nested regions.  Concrete ops subclass :class:`Operation`, set the class-level
 ``name`` (``"dialect.opname"``), and usually add typed accessors.
 
-The operand list is managed exclusively through :meth:`set_operand`,
-:meth:`set_operands` and friends so that def-use chains stay consistent —
-direct mutation of ``_operands`` would corrupt use lists.
+Operands, results and regions are immutable tuples, and an op without any
+holds the shared ``()``: a constant allocates no container for its operands
+or regions, so the garbage collector has fewer objects to scan.  They change
+by rebuilding the tuple — operands through :meth:`set_operand`,
+:meth:`set_operands` and friends so that def-use chains stay consistent,
+regions through :meth:`add_region`, results by assigning a longer tuple (see
+``scf.ForOp.add_iter_arg``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .traits import IsTerminator, OpTrait, Pure
 
 if TYPE_CHECKING:  # pragma: no cover
     from .block import Block, Region
-    from .location import SourceLoc
 
 
 _IS_TERMINATOR = IsTerminator()
@@ -73,18 +76,17 @@ class Operation:
         regions: Sequence["Region"] = (),
     ) -> None:
         #: where this op came from in textual IR, if parsed (see location.py)
-        self.loc: "SourceLoc | None" = None
-        self._operands: list[SSAValue] = []
-        self.results: list[OpResult] = [
-            OpResult(t, self, i) for i, t in enumerate(result_types)
-        ]
+        self.loc: str | None = None
+        self._operands: tuple[SSAValue, ...] = tuple(operands)
+        self.results: tuple[OpResult, ...] = tuple(
+            [OpResult(t, self, i) for i, t in enumerate(result_types)]
+        )
         self.attributes: dict[str, Attribute] = (
             dict(attributes) if attributes else {}
         )
-        self.regions: list[Region] = []
+        self.regions: tuple[Region, ...] = ()
         self.parent: Block | None = None
-        for i, operand in enumerate(operands):
-            self._operands.append(operand)
+        for i, operand in enumerate(self._operands):
             operand.add_use(Use(self, i))
         for region in regions:
             self.add_region(region)
@@ -93,20 +95,21 @@ class Operation:
 
     @property
     def operands(self) -> tuple[SSAValue, ...]:
-        return tuple(self._operands)
+        return self._operands
 
     def set_operand(self, index: int, value: SSAValue) -> None:
         """Replace operand ``index`` with ``value``, updating use lists."""
-        old = self._operands[index]
-        old.remove_use_of(self, index)
-        self._operands[index] = value
+        operands = list(self._operands)
+        operands[index].remove_use_of(self, index)
+        operands[index] = value
+        self._operands = tuple(operands)
         value.add_use(Use(self, index))
 
     def set_operands(self, values: Sequence[SSAValue]) -> None:
         """Replace the whole operand list (lengths may differ)."""
         for i, old in enumerate(self._operands):
             old.remove_use_of(self, i)
-        self._operands = list(values)
+        self._operands = tuple(values)
         for i, new in enumerate(self._operands):
             new.add_use(Use(self, i))
 
@@ -114,7 +117,7 @@ class Operation:
         """Remove this op's reads of its operands (used before erasing)."""
         for i, old in enumerate(self._operands):
             old.remove_use_of(self, i)
-        self._operands = []
+        self._operands = ()
         for region in self.regions:
             for block in region.blocks:
                 for op in list(block.ops):
@@ -124,7 +127,7 @@ class Operation:
 
     def add_region(self, region: "Region") -> None:
         region.parent = self
-        self.regions.append(region)
+        self.regions = (*self.regions, region)
 
     @property
     def parent_op(self) -> "Operation | None":
@@ -241,17 +244,17 @@ class Operation:
 
         if value_map is None:
             value_map = {}
-        new_operands = [value_map.get(o, o) for o in self._operands]
+        new_operands = tuple([value_map.get(o, o) for o in self._operands])
         new_op = object.__new__(type(self))
         # Inlined Operation.__init__: clone dominates pass pipelines, and the
-        # generic constructor re-walks lists this path already has in hand.
+        # generic constructor re-walks tuples this path already has in hand.
         new_op.loc = self.loc
         new_op._operands = new_operands
-        new_op.results = [
-            OpResult(r.type, new_op, i) for i, r in enumerate(self.results)
-        ]
+        new_op.results = tuple(
+            [OpResult(r.type, new_op, i) for i, r in enumerate(self.results)]
+        )
         new_op.attributes = dict(self.attributes)
-        new_op.regions = []
+        new_op.regions = ()
         new_op.parent = None
         for i, operand in enumerate(new_operands):
             operand.add_use(Use(new_op, i))

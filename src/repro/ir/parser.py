@@ -9,7 +9,6 @@ support (unknown names become :class:`UnregisteredOp`).
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .attributes import (
     ArrayAttr,
@@ -46,11 +45,10 @@ class ParseError(Exception):
     """Raised on malformed IR text, with line/column context."""
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+#: a token: ``(kind, text, line, column)``, read by position.  An exact
+#: tuple of strings and ints, which the garbage collector stops tracking
+#: (a named tuple it would keep tracking), and built without a Python call.
+Token = tuple[str, str, int, int]
 
 
 # Blanks are folded into the front of each match, and every position matches
@@ -91,7 +89,6 @@ def tokenize(text: str) -> list[Token]:
     Lines advance only at newline tokens, so a string literal spanning a raw
     newline leaves later tokens on its starting line.
     """
-    new_token = tuple.__new__
     tokens: list[Token] = []
     append = tokens.append
     line, line_start = 1, 0
@@ -102,7 +99,7 @@ def tokenize(text: str) -> list[Token]:
         pos = match.end()
         if kind not in _NOT_TOKENS:
             column = pos - len(value) - line_start + 1
-            append(new_token(Token, (kind, value, line, column)))
+            append((kind, value, line, column))
         elif kind == "NL":
             line += 1
             line_start = pos
@@ -111,7 +108,7 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "BAD":
             column = pos - line_start  # one character, ending at ``pos``
             raise ParseError(f"line {line}:{column}: unexpected character {value!r}")
-    append(new_token(Token, ("EOF", "", line, pos - line_start + 1)))
+    append(("EOF", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -138,6 +135,9 @@ class Parser:
     Value names are resolved through a stack of scopes; entering a region
     pushes a scope so names shadow correctly while enclosing definitions
     remain visible (matching MLIR's visibility rules for non-isolated ops).
+
+    A token is a ``(kind, text, line, column)`` tuple: ``token[0]`` is its
+    kind and ``token[1]`` its text.
     """
 
     def __init__(self, text: str, filename: str | None = None) -> None:
@@ -152,21 +152,21 @@ class Parser:
 
     def advance(self) -> Token:
         token = self.current
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self._pos += 1
             self.current = self._tokens[self._pos]
         return token
 
     def error(self, message: str, token: Token | None = None) -> ParseError:
         """A :class:`ParseError` located at ``token`` (default: the cursor)."""
-        t = self.current if token is None else token
-        return ParseError(f"line {t.line}:{t.column}: {message} (found {t.text!r})")
+        _, text, line, column = self.current if token is None else token
+        return ParseError(f"line {line}:{column}: {message} (found {text!r})")
 
     # ``accept`` and ``expect`` advance inline: a matched text is never the
     # empty text of ``EOF``, so a next token always exists.
 
     def accept(self, text: str) -> bool:
-        if self.current.text != text:
+        if self.current[1] != text:
             return False
         self._pos += 1
         self.current = self._tokens[self._pos]
@@ -174,14 +174,14 @@ class Parser:
 
     def expect(self, text: str) -> Token:
         token = self.current
-        if token.text != text:
+        if token[1] != text:
             raise self.error(f"expected {text!r}")
         self._pos += 1
         self.current = self._tokens[self._pos]
         return token
 
     def expect_kind(self, kind: str) -> Token:
-        if self.current.kind != kind:
+        if self.current[0] != kind:
             raise self.error(f"expected {kind}")
         return self.advance()
 
@@ -208,21 +208,21 @@ class Parser:
     # -- common fragments --------------------------------------------------
 
     def parse_string(self) -> str:
-        body = self.expect_kind("STRING").text[1:-1]
+        body = self.expect_kind("STRING")[1][1:-1]
         if "\\" in body:
             body = _ESCAPE_RE.sub(_unescape, body)
         return body
 
     def parse_int(self) -> int:
-        return int(self.expect_kind("INT").text)
+        return int(self.expect_kind("INT")[1])
 
     def parse_value_use(self) -> SSAValue:
         token = self.expect_kind("PERCENT")
-        return self.lookup_value(token.text[1:], token)
+        return self.lookup_value(token[1][1:], token)
 
     def parse_value_use_list(self, terminator: str) -> list[SSAValue]:
         values: list[SSAValue] = []
-        if self.current.text == terminator:
+        if self.current[1] == terminator:
             return values
         values.append(self.parse_value_use())
         while self.accept(","):
@@ -232,23 +232,23 @@ class Parser:
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> TypeAttribute:
-        token = self.current
-        if token.kind == "ID":
-            type_attr = _SCALAR_TYPES.get(token.text)
+        kind, text, _, _ = self.current
+        if kind == "ID":
+            type_attr = _SCALAR_TYPES.get(text)
             if type_attr is None:
-                match = _INTEGER_TYPE_RE.fullmatch(token.text)
+                match = _INTEGER_TYPE_RE.fullmatch(text)
                 if match is None:
-                    raise self.error(f"unknown type '{token.text}'")
+                    raise self.error(f"unknown type '{text}'")
                 type_attr = IntegerType(int(match.group(1)))
             self.advance()
             return type_attr
-        if token.kind == "BANGID":
-            dialect = token.text[1:].split(".", 1)[0]
+        if kind == "BANGID":
+            dialect = text[1:].split(".", 1)[0]
             parser_fn = TYPE_PARSERS.get(dialect)
             if parser_fn is None:
                 raise self.error(f"no type parser for dialect '{dialect}'")
             return parser_fn(self)
-        if token.text == "(":
+        if text == "(":
             return self.parse_function_type()
         raise self.error("expected a type")
 
@@ -288,27 +288,27 @@ class Parser:
     # -- attributes ------------------------------------------------------
 
     def parse_attribute(self) -> Attribute:
-        token = self.current
-        if token.kind == "STRING":
+        kind, text, _, _ = self.current
+        if kind == "STRING":
             return StringAttr(self.parse_string())
-        if token.kind == "INT":
+        if kind == "INT":
             value = self.parse_int()
             if self.accept(":"):
                 return IntegerAttr(value, self.parse_type())
             return IntegerAttr(value)
-        if token.kind == "AT":
+        if kind == "AT":
             self.advance()
-            return SymbolRefAttr(token.text[1:])
-        if token.text == "true":
+            return SymbolRefAttr(text[1:])
+        if text == "true":
             self.advance()
             return BoolAttr(True)
-        if token.text == "false":
+        if text == "false":
             self.advance()
             return BoolAttr(False)
-        if token.text == "unit":
+        if text == "unit":
             self.advance()
             return UnitAttr()
-        if token.text == "[":
+        if text == "[":
             self.advance()
             elements: list[Attribute] = []
             if not self.accept("]"):
@@ -317,15 +317,15 @@ class Parser:
                     elements.append(self.parse_attribute())
                 self.expect("]")
             return ArrayAttr(tuple(elements))
-        if token.kind == "HASHID":
+        if kind == "HASHID":
             from .registry import ATTR_PARSERS
 
-            dialect = token.text[1:].split(".", 1)[0]
+            dialect = text[1:].split(".", 1)[0]
             parser_fn = ATTR_PARSERS.get(dialect)
             if parser_fn is None:
                 raise self.error(f"no attribute parser for dialect '{dialect}'")
             return parser_fn(self)
-        if token.kind in ("ID", "BANGID") or token.text == "(":
+        if kind in ("ID", "BANGID") or text == "(":
             return self.parse_type()
         raise self.error("expected an attribute")
 
@@ -336,10 +336,10 @@ class Parser:
         if self.accept("}"):
             return attrs
         while True:
-            key_token = self.current
-            if key_token.kind not in ("ID", "STRING"):
+            key_kind = self.current[0]
+            if key_kind not in ("ID", "STRING"):
                 raise self.error("expected attribute name")
-            key = self.parse_string() if key_token.kind == "STRING" else self.advance().text
+            key = self.parse_string() if key_kind == "STRING" else self.advance()[1]
             if self.accept("="):
                 attrs[key] = self.parse_attribute()
             else:
@@ -355,15 +355,15 @@ class Parser:
         """Parse a whole input: a ``builtin.module`` or a bare op list."""
         from ..dialects.builtin import ModuleOp
 
-        if self.current.text == "builtin.module":
+        if self.current[1] == "builtin.module":
             op = self.parse_operation()
-            if self.current.kind != "EOF":
+            if self.current[0] != "EOF":
                 raise self.error("unexpected trailing input")
             if not isinstance(op, ModuleOp):
                 raise self.error("expected builtin.module at top level")
             return op
         block = Block()
-        while self.current.kind != "EOF":
+        while self.current[0] != "EOF":
             block.add_op(self.parse_operation())
         module = ModuleOp.create()
         for op in list(block.ops):
@@ -374,16 +374,16 @@ class Parser:
     def parse_operation(self) -> Operation:
         start = self.current
         result_names: list[str] = []
-        if self.current.kind == "PERCENT":
-            result_names.append(self.advance().text[1:])
+        if start[0] == "PERCENT":
+            result_names.append(self.advance()[1][1:])
             while self.accept(","):
-                result_names.append(self.expect_kind("PERCENT").text[1:])
+                result_names.append(self.expect_kind("PERCENT")[1][1:])
             self.expect("=")
         op = self._parse_op_body()
         # Nested ops got their own locations during the recursive parse;
         # only the op this call produced is still unlocated.
         if op.loc is None:
-            op.loc = SourceLoc(start.line, start.column, self._filename)
+            op.loc = SourceLoc(start[2], start[3], self._filename)
         if result_names:
             if len(result_names) != len(op.results):
                 raise self.error(
@@ -396,14 +396,14 @@ class Parser:
         return op
 
     def _parse_op_body(self) -> Operation:
-        token = self.current
-        if token.kind == "STRING":
+        kind, text, _, _ = self.current
+        if kind == "STRING":
             return self._parse_generic_op()
-        if token.kind == "ID":
-            custom = CUSTOM_PARSERS.get(token.text)
+        if kind == "ID":
+            custom = CUSTOM_PARSERS.get(text)
             if custom is None:
-                load_deferred_dialect(token.text)
-                custom = CUSTOM_PARSERS.get(token.text)
+                load_deferred_dialect(text)
+                custom = CUSTOM_PARSERS.get(text)
             if custom is not None:
                 self.advance()
                 op = custom(self)
@@ -411,10 +411,10 @@ class Parser:
                 # custom syntax does not carry (e.g. accfg.effects).  A bare
                 # '{' can never start the next operation, so this is
                 # unambiguous.
-                if self.current.text == "{" and op.name != "builtin.module":
+                if self.current[1] == "{" and op.name != "builtin.module":
                     op.attributes.update(self.parse_attr_dict())
                 return op
-            raise self.error(f"unknown operation '{token.text}'")
+            raise self.error(f"unknown operation '{text}'")
         raise self.error("expected an operation")
 
     def _parse_generic_op(self) -> Operation:
@@ -431,7 +431,7 @@ class Parser:
                 f"{len(func_type.inputs)} operand types"
             )
         regions: list[Region] = []
-        while self.current.text == "{":
+        while self.current[1] == "{":
             regions.append(self.parse_region())
         op_class = OP_REGISTRY.get(name)
         if op_class is None:
@@ -469,7 +469,7 @@ class Parser:
             for arg_name, arg_type in entry_args:
                 arg = block.add_arg(arg_type, arg_name)
                 self.define_value(arg_name, arg)
-        elif self.current.kind == "CARET":
+        elif self.current[0] == "CARET":
             self.advance()
             self.expect("(")
             if not self.accept(")"):
@@ -477,13 +477,14 @@ class Parser:
                     arg_token = self.expect_kind("PERCENT")
                     self.expect(":")
                     arg_type = self.parse_type()
-                    arg = block.add_arg(arg_type, arg_token.text[1:])
-                    self.define_value(arg_token.text[1:], arg)
+                    arg_name = arg_token[1][1:]
+                    arg = block.add_arg(arg_type, arg_name)
+                    self.define_value(arg_name, arg)
                     if not self.accept(","):
                         break
                 self.expect(")")
             self.expect(":")
-        while self.current.text != "}":
+        while self.current[1] != "}":
             block.add_op(self.parse_operation())
         self.expect("}")
         self.pop_scope()
@@ -504,6 +505,6 @@ def parse_operation(text: str, filename: str | None = None) -> Operation:
 
     parser = Parser(text, filename)
     op = parser.parse_operation()
-    if parser.current.kind != "EOF":
+    if parser.current[0] != "EOF":
         raise parser.error("unexpected trailing input")
     return op

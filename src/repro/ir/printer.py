@@ -11,6 +11,7 @@ syntax; anything else is printed in the generic form::
 from __future__ import annotations
 
 import re
+from sys import intern
 
 from .attributes import (
     ArrayAttr,
@@ -222,7 +223,9 @@ def structural_key(root: Operation) -> tuple:
     text = texts.get
 
     def formatted(attr: Attribute) -> str:
-        texts[id(attr)] = atom = format_attribute(attr)
+        # Interned: keys held side by side (the trace cache keeps hundreds)
+        # then share one string per distinct text.
+        texts[id(attr)] = atom = intern(format_attribute(attr))
         return atom
 
     def emit(op: Operation) -> None:

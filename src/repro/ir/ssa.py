@@ -58,14 +58,20 @@ class SSAValue:
         # A list, not a set: use lists are tiny (a handful of entries), and
         # list append/scan beats per-Use tuple hashing on every link/unlink.
         # Link/unlink discipline (one add per operand slot, one remove per
-        # unlink) keeps entries unique without set semantics.
-        self.uses: list[Use] = []
+        # unlink) keeps entries unique without set semantics.  The list is
+        # made by the first use: until then ``uses`` is the shared ``()``, so
+        # a value nothing reads allocates none.
+        self.uses: list[Use] | tuple[()] = ()
         self.name_hint = name_hint
 
     # -- def-use management -------------------------------------------------
 
     def add_use(self, use: Use) -> None:
-        self.uses.append(use)
+        uses = self.uses
+        if uses:
+            uses.append(use)
+        else:
+            self.uses = [use]
 
     def remove_use(self, use: Use) -> None:
         self.remove_use_of(use.operation, use.index)

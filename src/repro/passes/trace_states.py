@@ -252,7 +252,7 @@ class StateTracer:
         result = OpResult(
             accfg.state_type(self.accelerator), op, len(op.results), "state"
         )
-        op.results.append(result)
+        op.results = (*op.results, result)
         then_yield = op.then_block.terminator
         else_yield = op.else_block.terminator
         assert isinstance(then_yield, scf.YieldOp)

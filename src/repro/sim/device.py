@@ -15,6 +15,7 @@ functional execution of macro-operations against simulated memory.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import NamedTuple
 
 from ..backends.base import AcceleratorSpec
@@ -94,7 +95,11 @@ class AcceleratorDevice:
         self.total_memory_bytes = 0
         self.busy_cycles = 0.0
         self.config_write_count = 0
-        self._launch_ends: list[float] = []
+        #: the ends of the latest launches: as many as the deepest launch
+        #: queue :meth:`accept_time` reads (a degraded device reads the last)
+        self._launch_ends: deque[float] = deque(
+            maxlen=max(1, spec.launch_queue_depth)
+        )
         #: bumped by :meth:`power_cycle`; a host-visible epoch register that
         #: lets the recovery runtime detect spontaneous state loss
         self.hw_epoch = 0

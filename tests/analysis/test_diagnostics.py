@@ -37,7 +37,7 @@ class TestLocationThreading:
     def test_filename_defaults_to_none(self):
         module = parse_module(PROGRAM)
         setup = next(op for op in module.walk() if op.name == "accfg.setup")
-        assert setup.loc is not None and setup.loc.filename is None
+        assert setup.loc == SourceLoc(3, 5)
 
     def test_programmatic_ops_have_no_location(self):
         from repro.dialects import arith

@@ -19,7 +19,7 @@ class TestForOp:
         loop = scf.ForOp.create(lb.result, ub.result, step.result)
         assert loop.induction_var.type == index
         assert loop.iter_args == ()
-        assert loop.results == []
+        assert loop.results == ()
 
     def test_iter_args_threading(self):
         lb, ub, step = bounds()

@@ -117,8 +117,15 @@ class TestCorruptionTolerance:
         # flat protocol tuples, which today's executor cannot unpack.
         # Version 3 filed traces under the digest of another serialization.
         # Version 4 gave cmpi an opcode of its own and numbered the later
-        # opcodes one higher.
-        for old in ("repro-cache/1", "repro-cache/2", "repro-cache/3", "repro-cache/4"):
+        # opcodes one higher.  Version 5 pickled source locations as
+        # ``SourceLoc`` objects, a class that is gone.
+        for old in (
+            "repro-cache/1",
+            "repro-cache/2",
+            "repro-cache/3",
+            "repro-cache/4",
+            "repro-cache/5",
+        ):
             store = PersistentStore(str(tmp_path / old.replace("/", "-")))
             entry = {
                 "schema": old,

@@ -18,23 +18,23 @@ def roundtrip(text: str) -> str:
 
 class TestTokenizer:
     def test_basic_tokens(self):
-        kinds = [t.kind for t in tokenize('%x = "foo.bar"() : () -> ()')]
+        kinds = [t[0] for t in tokenize('%x = "foo.bar"() : () -> ()')]
         assert kinds[:3] == ["PERCENT", "PUNCT", "STRING"]
 
     def test_comments_skipped(self):
         tokens = tokenize("// a comment\n%x")
-        assert [t.kind for t in tokens] == ["PERCENT", "EOF"]
+        assert [t[0] for t in tokens] == ["PERCENT", "EOF"]
 
     def test_line_numbers(self):
         tokens = tokenize("\n\n%x")
-        assert tokens[0].line == 3
+        assert tokens[0][2] == 3
 
     def test_unexpected_character(self):
         with pytest.raises(ParseError, match="unexpected character"):
             tokenize("€")
 
     def test_arrow_token(self):
-        assert tokenize("->")[0].kind == "ARROW"
+        assert tokenize("->")[0][0] == "ARROW"
 
 
 class TestRoundTrips:

@@ -77,3 +77,22 @@ class TestAtomInterning:
         first = structural_key(parse(PROGRAM))
         for _ in range(3):
             assert structural_key(parse(PROGRAM)) == first
+
+    def test_equal_keys_share_their_strings(self):
+        # The trace cache holds hundreds of keys side by side; each distinct
+        # atom text is one string among them, whatever module it came from.
+        text = """
+        func.func @main(%x : i64) -> () {
+          %c = arith.constant 3 : i64
+          %s = accfg.setup on "toyvec" ("n" = %x : i64, "op" = %c : i64) : !accfg.state<"toyvec">
+          %t = accfg.launch %s : !accfg.token<"toyvec">
+          accfg.await %t
+          func.call @g(%x) : (i64) -> ()
+          func.return
+        }
+        """
+        first, second = structural_key(parse(text)), structural_key(parse(text))
+        assert first == second
+        strings = [(a, b) for a, b in zip(first, second) if isinstance(a, str)]
+        assert len(strings) > 10
+        assert all(a is b for a, b in strings)
