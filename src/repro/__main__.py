@@ -22,22 +22,38 @@ import argparse
 import sys
 
 from .backends.lowering import static_config_report
-from .interp import run_module
-from .ir import parse_module, verify_operation
+from .interp import InterpreterError, run_module
+from .ir import ParseError, VerifyError, parse_module, verify_operation
 from .passes import PIPELINES, pipeline_by_name
 from .sim import CoSimulator
 
 
+class InputError(Exception):
+    """Input a subcommand cannot read: reported on one line, exit status 2."""
+
+
 def _read_module(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-        filename = "<stdin>"
-    else:
-        with open(path) as handle:
-            text = handle.read()
-        filename = path
-    module = parse_module(text, filename)
-    verify_operation(module)
+    filename = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path) as handle:
+                text = handle.read()
+        module = parse_module(text, filename)
+        verify_operation(module)
+    except OSError as error:
+        raise InputError(f"{filename}: {error.strerror}") from error
+    except UnicodeDecodeError as error:
+        raise InputError(
+            f"{filename}: not UTF-8 text (byte {error.start})"
+        ) from error
+    except (ParseError, VerifyError) as error:
+        message = str(error)
+        # A located verifier message already starts with the file name.
+        if not message.startswith(f"{filename}:"):
+            message = f"{filename}: {message}"
+        raise InputError(message) from error
     return module
 
 
@@ -112,7 +128,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.pipeline:
         pipeline_by_name(args.pipeline).run(module)
     sim = CoSimulator(functional=False)
-    results = run_module(module, sim, args=[int(a) for a in args.args])[0]
+    try:
+        results = run_module(module, sim, args=args.args)[0]
+    except InterpreterError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     stats = sim.trace.stats(sim.cost_model)
     print(f"results      : {results}")
     print(f"total cycles : {sim.total_cycles:.0f}")
@@ -338,21 +358,6 @@ def cmd_multitenant(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench
-
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.check:
-        argv.extend(["--check", args.check])
-    if args.freeze_baseline:
-        argv.append("--freeze-baseline")
-    return bench.main(argv)
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     import json
     import os
@@ -514,13 +519,25 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="static configuration-cost report for a module"
     )
     report.add_argument("input")
-    report.add_argument("--pipeline", default="", help="optimize first")
+    report.add_argument(
+        "--pipeline",
+        default="",
+        choices=["", *sorted(PIPELINES)],
+        help="optimize first",
+    )
     report.set_defaults(func=cmd_report)
 
     run = sub.add_parser("run", help="co-simulate a module (timing only)")
     run.add_argument("input")
-    run.add_argument("--pipeline", default="", help="optimize first")
-    run.add_argument("--args", nargs="*", default=[], help="main() arguments")
+    run.add_argument(
+        "--pipeline",
+        default="",
+        choices=["", *sorted(PIPELINES)],
+        help="optimize first",
+    )
+    run.add_argument(
+        "--args", nargs="*", type=int, default=[], help="main() arguments"
+    )
     run.set_defaults(func=cmd_run)
 
     from .testing.corpus import DEFAULT_CORPUS_DIR
@@ -774,17 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     multitenant.add_argument("--out", default="multitenant.json")
     multitenant.set_defaults(func=cmd_multitenant)
 
-    bench = sub.add_parser(
-        "bench", help="benchmark compile/simulate/fuzz throughput"
-    )
-    bench.add_argument("--quick", action="store_true", help="fewer reps")
-    bench.add_argument("--out", default="BENCH_engine.json")
-    bench.add_argument(
-        "--check", metavar="FILE", help="fail on regression vs this baseline"
-    )
-    bench.add_argument("--freeze-baseline", action="store_true")
-    bench.set_defaults(func=cmd_bench)
-
     tune = sub.add_parser(
         "tune",
         help="autotune schedules with the symbolic-cost surrogate, "
@@ -862,7 +868,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -200,7 +200,7 @@ def configure_persistent_cache(
     """Attach (or detach, with ``None``) the process-wide persistent tier.
 
     Also exports ``REPRO_CACHE_DIR`` so worker processes forked/spawned by
-    ``fuzz --jobs N`` and benchmark subprocesses attach the same directory.
+    ``fuzz --jobs N`` attach the same directory.
     """
     if directory is None:
         TRACE_CACHE.attach_store(None)

@@ -1,8 +1,9 @@
 """A minimal blocking client for the JSON-lines protocol.
 
-Used by the tests, the CI smoke script, the chaos campaign, and the
-``serve`` bench workload; also a reference implementation for external
-clients (the whole protocol fits in :meth:`ReproClient.request`).
+Used by the tests, the CI smoke script (``tools/serve_smoke.py``, whose
+timed phase holds the dedup speedup floor) and the chaos campaign; also a
+reference implementation for external clients (the whole protocol fits in
+:meth:`ReproClient.request`).
 
 Resilience: transport failures (refused connect, reset connection, a
 half-written response line, unparsable bytes) are retried under a

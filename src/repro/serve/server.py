@@ -24,7 +24,7 @@ and flushed, then the accept loop stops; in-flight requests on other
 connections finish normally, and :meth:`ReproServer.stop` closes the
 service so every parked single-flight waiter wakes with a typed
 ``shutdown`` error.  ``python -m repro serve`` runs this in the foreground
-(SIGINT also shuts down cleanly); tests and the bench harness use
+(SIGINT also shuts down cleanly); tests and ``tools/serve_smoke.py`` use
 :meth:`ReproServer.start` / :meth:`ReproServer.stop` around a background
 thread.
 """
@@ -168,7 +168,7 @@ class ReproServer:
         return self._tcp.server_address[:2]
 
     def start(self) -> "ReproServer":
-        """Serve on a background thread (tests, the bench harness)."""
+        """Serve on a background thread (tests, the serve smoke script)."""
         self._thread = threading.Thread(
             target=self._tcp.serve_forever,
             kwargs={"poll_interval": 0.05},

@@ -201,10 +201,10 @@ class CompileService:
     """Thread-safe multi-tenant compile/simulate/lint/cost service.
 
     ``dedup=False`` disables every request-level tier (in-flight dedup,
-    outcome cache, module cache) and is the measured baseline of the
-    ``serve`` bench workload: serial request handling, each request paying
-    parse + pipeline + execution itself (the engine-level trace cache stays
-    on — that tier predates the server).
+    outcome cache, module cache) and is the measured baseline of the timed
+    phase of ``tools/serve_smoke.py``: serial request handling, each request
+    paying parse + pipeline + execution itself (the engine-level trace cache
+    stays on — that tier predates the server).
     """
 
     def __init__(

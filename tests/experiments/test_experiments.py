@@ -58,6 +58,20 @@ class TestFigure4:
         for row in surface.surface:
             assert all(b >= a for a, b in zip(row, row[1:]))
 
+    def test_concurrent_roof_never_above_peak(self):
+        result = figure4_rooflines.run(points=201)
+        for _, sequential, concurrent in result.samples:
+            assert sequential < concurrent <= result.roofline.peak_performance
+
+    def test_roofsurface_reaches_peak_and_rises_along_both_axes(self):
+        surface = figure4_rooflines.run_roofsurface(points=17)
+        flat = [v for row in surface.surface for v in row]
+        assert max(flat) == surface.roofline.peak_performance
+        for row in surface.surface:
+            assert all(b >= a for a, b in zip(row, row[1:]))
+        for column in zip(*surface.surface):
+            assert all(b >= a for a, b in zip(column, column[1:]))
+
 
 class TestFig10:
     @pytest.fixture(scope="class")
@@ -83,6 +97,20 @@ class TestFig10:
         # Paper reports 26.78% attainable at size 64 for the baseline.
         size64 = next(r for r in result.rows if r.size == 64)
         assert 0.08 <= size64.baseline_utilization <= 0.45
+
+    @pytest.fixture(scope="class")
+    def through_128(self):
+        # Timing only, through size 128, where the paper's largest gain sits.
+        return fig10_gemmini.run(sizes=(16, 32, 64, 128), functional=False)
+
+    def test_paper_claim_uplift_through_128(self, through_128):
+        assert through_128.rows[0].uplift <= 1.05
+        assert through_128.geomean_uplift >= 1.05
+        assert through_128.max_uplift == max(r.uplift for r in through_128.rows)
+
+    def test_utilization_rises_through_128(self, through_128):
+        utils = [row.baseline_utilization for row in through_128.rows]
+        assert utils == sorted(utils)
 
 
 class TestFig11:
@@ -110,6 +138,29 @@ class TestFig11:
     def test_performance_monotone_in_size(self, result):
         perfs = [row.performance("full") for row in result.rows]
         assert perfs == sorted(perfs)
+
+    @pytest.fixture(scope="class")
+    def through_256(self):
+        # Timing only, over the figure's sizes 16-256.
+        return fig11_opengemm.run(sizes=(16, 32, 64, 128, 256), functional=False)
+
+    def test_paper_claim_geomean_and_max_through_256(self, through_256):
+        # Paper: 1.99x geomean, up to 2.71x.
+        assert 1.5 <= through_256.geomean_speedup("full") <= 2.6
+        assert through_256.max_speedup("full") <= 3.2
+
+    def test_paper_claim_both_best_through_256(self, through_256):
+        for row in through_256.rows:
+            assert row.speedup("full") >= max(
+                row.speedup("dedup"), row.speedup("overlap")
+            ) * 0.99
+
+    def test_paper_claim_dedup_overlap_crossover(self, through_256):
+        # Dedup's advantage fades at large (compute-bound) sizes while
+        # overlap's contribution grows.
+        small, large = through_256.rows[0], through_256.rows[-1]
+        assert large.speedup("dedup") <= small.speedup("dedup") * 1.2
+        assert large.speedup("overlap") >= small.speedup("overlap")
 
 
 class TestFig12:
@@ -140,3 +191,32 @@ class TestFig12:
         roofline = result.roofline
         for point in result.points:
             assert point.performance <= roofline.attainable_concurrent(point.i_oc) * 1.05
+
+    @pytest.fixture(scope="class")
+    def headline(self):
+        # Timing only, at the figure's own sizes.
+        return fig12_roofline.run(sizes=(32, 128), functional=False)
+
+    def test_arrows_at_the_figure_sizes(self, headline):
+        roofline = headline.roofline
+        for size in (32, 128):
+            base, dedup, overlap, full = (
+                headline.point(size, variant)
+                for variant in ("baseline", "dedup", "overlap", "full")
+            )
+            # Arrow 1: dedup up and right.
+            assert dedup.i_oc > base.i_oc
+            assert dedup.performance > base.performance
+            # Arrow 2: overlap straight up, bounded by the concurrent roof.
+            assert overlap.performance > base.performance
+            assert overlap.performance <= (
+                roofline.attainable_concurrent(overlap.i_oc) * 1.05
+            )
+            # Arrow 3: both yields the best performance.
+            assert full.performance >= max(
+                dedup.performance, overlap.performance
+            ) * 0.99
+
+    def test_paper_claim_size_128_exits_config_bound_region(self, headline):
+        assert headline.boundness(128, "baseline") is Boundness.CONFIG_BOUND
+        assert headline.boundness(128, "dedup") is Boundness.COMPUTE_BOUND

@@ -19,6 +19,10 @@ class TestTradeoffCurve:
     def test_optimized_flow_decays_much_less(self, result):
         assert result.optimized_decay > result.baseline_decay
 
+    def test_optimized_flow_decays_less_up_to_32_knobs(self):
+        wide = outlook_tradeoff.run(knob_counts=(0, 4, 16, 32))
+        assert wide.optimized_decay > wide.baseline_decay
+
     def test_compiler_recovery_grows_with_flexibility(self, result):
         """The more knobs, the more the optimizer has to win back."""
         recoveries = [row.recovered for row in result.rows]

@@ -175,6 +175,15 @@ class TestRoundTrips:
             """
         )
 
+    def test_optimized_evaluation_workload(self):
+        from repro.passes import pipeline_by_name
+        from repro.workloads import build_opengemm_matmul
+
+        workload = build_opengemm_matmul(64)
+        pipeline_by_name("full").run(workload.module)
+        text = str(workload.module)
+        assert str(parse_module(text)) == text
+
     def test_bare_ops_without_module_wrapper(self):
         module = parse_module("func.func @f() -> () { func.return }")
         assert module.name == "builtin.module"

@@ -1,13 +1,15 @@
-"""Ablation benchmarks: the contribution of each dedup sub-rewrite and of
-the generic cleanups, on the OpenGeMM workload (DESIGN.md section 6).
+"""Ablations: what each dedup sub-rewrite and the generic cleanups
+contribute, on the OpenGeMM size-64 workload (DESIGN.md section 6).
 
-Not a paper figure — these quantify the design choices Section 5.4.1
+Not a paper figure: these quantify the design choices Section 5.4.1
 motivates (branch hoisting, loop-field hoisting, merge/cleanup) by running
 partial pipelines.
 """
 
 from repro.backends import get_accelerator
 from repro.interp import run_module
+from repro.ir import parse_module
+from repro.ir.verifier import verify_operation
 from repro.passes import (
     CanonicalizePass,
     CSEPass,
@@ -19,7 +21,6 @@ from repro.passes import (
 )
 from repro.passes.dedup import (
     eliminate_redundant_fields,
-    hoist_invariant_setup_fields,
     merge_consecutive_setups,
     remove_empty_setups,
 )
@@ -30,7 +31,7 @@ from repro.workloads import build_opengemm_matmul
 SIZE = 64
 
 
-def measure(pipeline_builder, once=None):
+def measure(pipeline_builder):
     workload = build_opengemm_matmul(SIZE)
     pipeline_builder(workload.module)
     sim = CoSimulator(
@@ -46,9 +47,9 @@ def cleanups(module):
     PassManager([CanonicalizePass(), CSEPass(), LICMPass(), DCEPass()]).run(module)
 
 
-def test_ablation_dedup_without_loop_hoisting(once):
+def test_dedup_without_loop_hoisting():
     """Redundant-field elimination alone cannot touch in-loop setups whose
-    input state is loop-carried with varying fields — loop hoisting is what
+    input state is loop-carried with varying fields: loop hoisting is what
     unlocks the OpenGeMM win."""
 
     def elimination_only(module):
@@ -67,39 +68,22 @@ def test_ablation_dedup_without_loop_hoisting(once):
         DedupPass().apply(module)
         cleanups(module)
 
-    partial = once(lambda: (measure(elimination_only), measure(full_dedup)))
-    elimination, full = partial
+    elimination, full = measure(elimination_only), measure(full_dedup)
     assert full.config_bytes < elimination.config_bytes
-    print(
-        f"\nconfig bytes: elimination-only {elimination.config_bytes}, "
-        f"with loop hoisting {full.config_bytes} "
-        f"({elimination.config_bytes / full.config_bytes:.1f}x reduction)"
-    )
 
 
-def test_ablation_cleanups_contribution(once):
+def test_cleanups_contribution():
     """The 'free' MLIR optimizations (Section 5.2) on their own: constant
     hoisting and CSE reduce calc instructions without touching setups."""
-
-    def raw(module):
-        PassManager([]).run(module)
-
-    results = once(lambda: (measure(raw), measure(cleanups)))
-    unoptimized, cleaned = results
+    unoptimized = measure(lambda module: PassManager([]).run(module))
+    cleaned = measure(cleanups)
     assert cleaned.calc_instrs < unoptimized.calc_instrs
     assert cleaned.setup_instrs == unoptimized.setup_instrs
-    print(
-        f"\ncalc instrs: raw {unoptimized.calc_instrs}, after generic "
-        f"cleanups {cleaned.calc_instrs}"
-    )
 
 
-def test_ablation_merge_contribution(once):
+def test_merge_contribution():
     """Merging launch-free setup chains reduces write count when the
     frontend splits configuration across several setups."""
-    from repro.ir import parse_module
-    from repro.ir.verifier import verify_operation
-
     text = """
     func.func @main(%a : i64, %b : i64, %c : i64) -> () {
       %s1 = accfg.setup on "toyvec" ("ptr_x" = %a : i64) : !accfg.state<"toyvec">
@@ -118,5 +102,4 @@ def test_ablation_merge_contribution(once):
         verify_operation(module)
         return sum(1 for op in module.walk() if op.name == "accfg.setup")
 
-    counts = once(lambda: (count_setups(False), count_setups(True)))
-    assert counts == (3, 1)
+    assert (count_setups(False), count_setups(True)) == (3, 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dialects import accfg
-from repro.ir import parse_module
+from repro.ir import parse_module, verify_operation
 from repro.passes import (
     ModulePass,
     PASS_REGISTRY,
@@ -11,6 +11,7 @@ from repro.passes import (
     pipeline_by_name,
     register_pass,
 )
+from repro.workloads import build_gemmini_matmul, build_opengemm_matmul
 
 PROGRAM = """
 func.func @f(%x : i64) -> () {
@@ -84,6 +85,16 @@ class TestPresetPipelines:
     def test_pipelines_run_clean(self, name):
         module = parse_module(PROGRAM)
         pipeline_by_name(name).run(module)
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [(build_opengemm_matmul, 128), (build_gemmini_matmul, 64)],
+        ids=["opengemm-128", "gemmini-64"],
+    )
+    def test_full_pipeline_on_the_largest_evaluation_workloads(self, build, size):
+        workload = build(size)
+        pipeline_by_name("full").run(workload.module)
+        verify_operation(workload.module)
 
     def test_unknown_pipeline(self):
         with pytest.raises(ValueError, match="unknown pipeline"):

@@ -1,5 +1,7 @@
 """End-to-end socket tests: real server, real clients, real concurrency."""
 
+import importlib.util
+import os
 import threading
 
 import pytest
@@ -23,6 +25,13 @@ func.func @main(%x : i64) -> (i64) {
   func.return %y : i64
 }
 """
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+_spec = importlib.util.spec_from_file_location(
+    "serve_smoke", os.path.join(REPO, "tools", "serve_smoke.py")
+)
+serve_smoke = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(serve_smoke)
 
 
 @pytest.fixture()
@@ -100,6 +109,23 @@ class TestConcurrency:
         # 32 identical requests, one computation: everything else was
         # coalesced in flight or served from the outcome cache.
         assert stats["coalesced"] + stats["outcome_hits"] == 31
+
+    def test_mixed_stream_computes_each_compute_key_once(self, server):
+        # serve_smoke's timed stream: three generated programs, each sent as
+        # a `compile` under `full` and as a `cost`, 96 requests over 8
+        # connections.  Whatever the interleaving, every request but the
+        # first of its compute key is coalesced or an outcome-cache hit.
+        stream = serve_smoke.mixed_stream(serve_smoke.pinned_programs())
+        distinct = serve_smoke.compute_keys(stream)
+        assert (len(stream), len(distinct)) == (96, 6)
+        host, port = server.address
+        assert serve_smoke.send_concurrently(host, port, stream) == []
+        stats = server.service.stats()
+        assert stats["requests"] == len(stream)
+        assert stats["errors"] == 0
+        assert stats["coalesced"] + stats["outcome_hits"] == len(stream) - len(
+            distinct
+        )
 
     def test_tenants_share_the_trace_cache(self, server):
         with client_for(server) as a, client_for(server) as b:

@@ -99,3 +99,71 @@ class TestExperimentShortcuts:
     def test_fig4(self, capsys):
         assert main(["fig4"]) == 0
         assert "knee" in capsys.readouterr().out
+
+
+#: one kind of unreadable input each: (file contents, None for a missing
+#: file; what the one error line must say after the file name)
+BAD_INPUTS = {
+    "missing": (None, "No such file or directory"),
+    "parse": (
+        "func.func @main() -> () {\n  %x = arith.bogus 1\n}\n",
+        "line 2:8: unknown operation 'arith.bogus' (found 'arith.bogus')",
+    ),
+    "verify": (
+        "func.func @main(%a : i64) -> () {\n"
+        "  %c = arith.constant 1 : i32\n"
+        "  %y = arith.addi %a, %c : i64\n"
+        "  func.return\n"
+        "}\n",
+        "arith.addi: operand types differ (i64 vs i32)",
+    ),
+    "binary": (b"func\x99", "not UTF-8 text (byte 4)"),
+}
+
+DIVIDE_BY_ZERO = """
+func.func @main(%a : i64) -> (i64) {
+  %z = arith.constant 0 : i64
+  %y = arith.divui %a, %z : i64
+  func.return %y : i64
+}
+"""
+
+
+class TestInputErrors:
+    """Bad input is one ``error:`` line naming the file, and exit status 2,
+    which no subcommand uses for a result of its own."""
+
+    @pytest.mark.parametrize("command", ["opt", "lint", "cost", "report", "run"])
+    @pytest.mark.parametrize("kind", sorted(BAD_INPUTS))
+    def test_bad_input_is_one_line_and_exit_2(self, tmp_path, capsys, command, kind):
+        text, expected = BAD_INPUTS[kind]
+        path = tmp_path / f"{kind}.mlir"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
+            path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--args", "x"], "invalid int value: 'x'"),
+            (["run", "--pipeline", "warp"], "invalid choice: 'warp'"),
+            (["report", "--pipeline", "warp"], "invalid choice: 'warp'"),
+        ],
+    )
+    def test_bad_option_values_exit_2(self, demo_file, capsys, argv, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], demo_file, *argv[1:]])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_run_reports_a_program_error_and_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "divide.mlir"
+        path.write_text(DIVIDE_BY_ZERO)
+        assert main(["run", str(path), "--args", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: arith.divui by zero\n"

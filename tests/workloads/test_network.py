@@ -71,6 +71,18 @@ class TestOptimizationGains:
         assert baseline_wl.check() and full_wl.check()
         assert full_sim.total_cycles < baseline_sim.total_cycles
 
+    def test_intro_mlp_speeds_up_under_each_optimization(self):
+        # The intro's motivating workload: quantized MLP inference through
+        # the complete Figure 8 flow, outputs bit-exact against numpy.
+        cycles = {}
+        for pipeline in ("baseline", "dedup", "full"):
+            workload, sim = run_mlp([32, 64, 64, 32, 8], pipeline, batch=16, seed=11)
+            assert workload.check()
+            cycles[pipeline] = sim.total_cycles
+        assert cycles["dedup"] < cycles["baseline"]
+        assert cycles["full"] < cycles["dedup"]
+        assert cycles["baseline"] / cycles["full"] > 1.2
+
     def test_dedup_cuts_config_bytes_across_layers(self):
         _, baseline_sim = run_mlp([16, 16, 16, 16], "baseline")
         _, dedup_sim = run_mlp([16, 16, 16, 16], "dedup")

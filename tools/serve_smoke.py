@@ -12,12 +12,24 @@ checks:
 * the dedup tiers actually engaged (hit rate > 0),
 * a `shutdown` request stops the server cleanly.
 
+A timed phase follows: a duplicate-heavy stream of 96 `compile`/`cost`
+requests over three pinned generated programs, sent from 8 client
+connections to a server on the full service, against the same stream
+handled one request at a time by a `CompileService(dedup=False)`. It fails
+below :data:`SERVE_MIN_SPEEDUP`, on any failed request, and when a
+computation ran more than once (coalesced requests plus outcome-cache hits
+must equal the requests minus the distinct compute keys).
+
 Exits non-zero with a diagnostic on any failure.
 """
 
 import json
+import queue
+import random
 import sys
 import threading
+import time
+import zlib
 
 sys.path.insert(0, "src")
 
@@ -28,6 +40,11 @@ from repro.serve import (  # noqa: E402
     ReproServer,
     encode,
     probe,
+)
+from repro.testing.generator import (  # noqa: E402
+    PROFILES,
+    build_spec,
+    generate_spec,
 )
 
 PROGRAMS = [
@@ -139,6 +156,151 @@ def mismatches(exchanges: list) -> list[str]:
     return found
 
 
+#: generator seed of the timed phase's programs; changing it changes the
+#: stream the floor was set on
+PINNED_SEED = 20260806
+#: client connections (and tenants) of the timed phase
+TIMED_CLIENTS = 8
+TIMED_REQUESTS = 96
+#: the timed phase fails below this speedup over serial handling
+SERVE_MIN_SPEEDUP = 2.0
+
+
+def pinned_programs() -> list[str]:
+    """One pinned mid-size generated program per backend profile, as text."""
+    texts = []
+    for backend in sorted(PROFILES):
+        rng = random.Random(PINNED_SEED + zlib.crc32(backend.encode()) % 1000)
+        built = build_spec(
+            generate_spec(rng, backend, max_stmts=6), memory_seed=PINNED_SEED
+        )
+        texts.append(str(built.module))
+    return texts
+
+
+def mixed_stream(texts: list[str]) -> list[dict]:
+    """The timed phase's requests: the programs in turn, three in four a
+    ``compile`` under ``full`` and one in four a ``cost``, spread over
+    :data:`TIMED_CLIENTS` tenants. Each (op, program) pair is one compute
+    key, so most requests duplicate an earlier one."""
+    requests = []
+    for index in range(TIMED_REQUESTS):
+        op = "cost" if index % 4 == 3 else "compile"
+        request = {
+            "id": index,
+            "op": op,
+            "module": texts[index % len(texts)],
+            "tenant": f"tenant{index % TIMED_CLIENTS}",
+        }
+        if op == "compile":
+            request["pipeline"] = "full"
+        requests.append(request)
+    return requests
+
+
+def compute_keys(requests: list[dict]) -> set:
+    """The distinct computations ``requests`` ask for: with the dedup tiers
+    on, each is computed once and every other request shares its outcome."""
+    return {(r["op"], r["module"], r.get("pipeline")) for r in requests}
+
+
+def send_concurrently(host: str, port: int, requests: list[dict]) -> list:
+    """Send ``requests`` from :data:`TIMED_CLIENTS` connections, each taking
+    the next unsent request; returns the failed responses."""
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    for request in requests:
+        pending.put(request)
+    errors = []
+
+    def client_worker() -> None:
+        with ReproClient(host, port) as client:
+            while True:
+                try:
+                    request = pending.get_nowait()
+                except queue.Empty:
+                    return
+                response = client.request(**request)
+                if not response.get("ok"):
+                    errors.append(response)
+
+    threads = [
+        threading.Thread(target=client_worker) for _ in range(TIMED_CLIENTS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        if thread.is_alive():
+            errors.append("client thread hung")
+    return errors
+
+
+def timed_phase() -> list[str]:
+    """Concurrent dedup serving against one-at-a-time handling; returns the
+    failures.
+
+    The serial side has every request-level dedup tier off (no in-flight
+    coalescing, no outcome or module cache); the engine trace cache stays,
+    as it predates the server. Both sides get private trace caches after an
+    untimed warm-up, so neither inherits the other's warm state. Under the
+    GIL threads add no compute parallelism, so the speedup is the dedup
+    tiers' alone. The concurrent service runs with a deadline armed, so the
+    floor also prices the resilience layer on the fault-free path.
+    """
+    texts = pinned_programs()
+    requests = mixed_stream(texts)
+
+    # Untimed warm-up: first-touch import and kernel-memo costs land on a
+    # throwaway service so neither measured side pays them.
+    warmup = CompileService(cache=TraceCache())
+    for text in texts:
+        warmup.handle({"op": "compile", "module": text, "pipeline": "full"})
+
+    serial = CompileService(cache=TraceCache(), dedup=False)
+    serial_errors = 0
+    started = time.perf_counter()
+    for request in requests:
+        response = json.loads(serial.handle_line(encode(request)))
+        if not response.get("ok"):
+            serial_errors += 1
+    serial_wall = time.perf_counter() - started
+
+    service = CompileService(cache=TraceCache(), default_deadline_ms=30_000)
+    with ReproServer(service=service) as server:
+        host, port = server.address
+        started = time.perf_counter()
+        errors = send_concurrently(host, port, requests)
+        wall = time.perf_counter() - started
+        stats = service.stats()
+
+    speedup = serial_wall / wall
+    print(
+        f"serve-smoke: timed {len(requests)} requests over {len(texts)} "
+        f"programs: serial {serial_wall * 1e3:.1f} ms, {TIMED_CLIENTS} "
+        f"clients {wall * 1e3:.1f} ms, {speedup:.2f}x (floor "
+        f"{SERVE_MIN_SPEEDUP:.1f}x; coalesced {stats['coalesced']}, outcome "
+        f"hits {stats['outcome_hits']})"
+    )
+    failures = []
+    shared = stats["coalesced"] + stats["outcome_hits"]
+    expected = len(requests) - len(compute_keys(requests))
+    if shared != expected:
+        failures.append(
+            f"{shared} request(s) shared an outcome, not {expected}: a "
+            "computation ran more than once"
+        )
+    if speedup < SERVE_MIN_SPEEDUP:
+        failures.append(
+            f"dedup speedup {speedup:.2f}x below the required "
+            f"{SERVE_MIN_SPEEDUP:.1f}x over serial handling"
+        )
+    if errors or serial_errors:
+        failures.append(
+            f"{len(errors) + serial_errors} failed request(s) in the timed phase"
+        )
+    return failures
+
+
 def main() -> int:
     service = CompileService()
     server = ReproServer(service=service)
@@ -214,6 +376,12 @@ def main() -> int:
     if probe(host, port):
         print("serve-smoke: FAIL server still accepting after shutdown",
               file=sys.stderr)
+        return 1
+
+    failures = timed_phase()
+    if failures:
+        for failure in failures:
+            print(f"serve-smoke: FAIL {failure}", file=sys.stderr)
         return 1
     print("serve-smoke: ok")
     return 0
