@@ -210,22 +210,28 @@ def int8_matmul(
     """``(a - a_zero) @ (b - b_zero)`` of int8 matrices, as numpy's int32
     product computes it, wraparound included.
 
-    Each term is at most ``(128 + |a_zero|) * (128 + |b_zero|)`` in
-    magnitude.  While ``K`` of them stay below 2**31, every product and
-    partial sum is an integer that float64 holds exactly, in any summation
-    order, and the result fits int32: the product then runs through
-    float64 BLAS, several times faster than numpy's int32 loop, and casts
-    exactly.  Past that bound the int32 product runs and wraps.
+    The operands hold int8 values, as int8 arrays or as float64 ones (the
+    views :meth:`repro.sim.memory.Memory.read_operand` serves, which this
+    only reads).  Each term is at most ``(128 + |a_zero|) * (128 +
+    |b_zero|)`` in magnitude.  While ``K`` of them stay below 2**31, every
+    product and partial sum is an integer that float64 holds exactly, in
+    any summation order, and the result fits int32: the product then runs
+    through float64 BLAS, several times faster than numpy's int32 loop,
+    and casts exactly.  Past that bound the int32 product runs and wraps.
     """
     if a.shape[-1] * (128 + abs(a_zero)) * (128 + abs(b_zero)) < 2**31:
-        a = a.astype(np.float64)
-        b = b.astype(np.float64)
-        if a_zero:
-            a -= a_zero
-        if b_zero:
-            b -= b_zero
-        return (a @ b).astype(np.int32)
+        return (_float64(a, a_zero) @ _float64(b, b_zero)).astype(np.int32)
     return (a.astype(np.int32) - a_zero) @ (b.astype(np.int32) - b_zero)
+
+
+def _float64(x: np.ndarray, zero: int) -> np.ndarray:
+    """``x - zero`` in float64, without writing ``x``."""
+    if x.dtype.type is np.float64:
+        return x - zero if zero else x
+    x = x.astype(np.float64)
+    if zero:
+        x -= zero
+    return x
 
 
 _REGISTRY: dict[str, AcceleratorSpec] = {}

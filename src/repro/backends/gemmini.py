@@ -236,15 +236,13 @@ class GemminiSpec(AcceleratorSpec):
         rows = tiles_i * ARRAY_DIM - config.get("pad_I", 0)
         cols = tiles_j * ARRAY_DIM - config.get("pad_J", 0)
         inner = tiles_k * ARRAY_DIM - config.get("pad_K", 0)
-        a = memory.read_matrix(
-            config["A"], rows, inner, config.get("stride_A", inner), np.int8
-        )
+        stride_a = config.get("stride_A", inner)
+        a = memory.read_operand(config["A"], rows, inner, stride_a)
         if config.get("A_transpose"):
             a = a.T
             rows, inner = a.shape
-        b = memory.read_matrix(
-            config["B"], inner, cols, config.get("stride_B", cols), np.int8
-        )
+        stride_b = config.get("stride_B", cols)
+        b = memory.read_operand(config["B"], inner, cols, stride_b)
         if config.get("B_transpose"):
             b = b.T
         acc = int8_matmul(a, b)
@@ -258,19 +256,19 @@ class GemminiSpec(AcceleratorSpec):
         memory.write_matrix(config["C"], acc, config.get("stride_C", cols))
 
     def _execute_fine_grained(self, config: dict[str, int], memory: "Memory") -> None:
-        """One preloaded 16x16x16 tile: ``C[st] (+)= A[ld] @ B[preload]``."""
+        """One preloaded 16x16x16 tile: ``C[st] (+)= A[ld] @ B[preload]``,
+        accumulated in place."""
         dim = ARRAY_DIM
         stride_a = config.get("stride_A", dim)
         stride_b = config.get("stride_B", dim)
-        stride_c = config.get("stride_C", dim)
-        a = memory.read_matrix(config["ld_addr"], dim, dim, stride_a, np.int8)
-        b = memory.read_matrix(config["preload_addr"], dim, dim, stride_b, np.int8)
-        product = int8_matmul(a, b)
-        if config.get("acc"):
-            product = product + memory.read_matrix(
-                config["st_addr"], dim, dim, stride_c, np.int32
-            )
-        memory.write_matrix(config["st_addr"], product, stride_c)
+        a = memory.read_operand(config["ld_addr"], dim, dim, stride_a)
+        b = memory.read_operand(config["preload_addr"], dim, dim, stride_b)
+        memory.write_matrix(
+            config["st_addr"],
+            int8_matmul(a, b),
+            config.get("stride_C", dim),
+            accumulate=config.get("acc"),
+        )
 
 
 GEMMINI = register_accelerator(GemminiSpec())

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
 
 from ..isa.encoding import FieldSpec
 from ..isa.instructions import Instr, config_write, launch_instr, sync_instr
@@ -142,12 +141,8 @@ class OpenGeMMSpec(AcceleratorSpec):
         subtraction = config.get("subtractions", 0)
         a_zp = subtraction & 0xFF
         b_zp = (subtraction >> 8) & 0xFF
-        a = memory.read_matrix(
-            config["ptr_A"], m, k, config.get("stride_A", k), np.int8
-        )
-        b = memory.read_matrix(
-            config["ptr_B"], k, n, config.get("stride_B", n), np.int8
-        )
+        a = memory.read_operand(config["ptr_A"], m, k, config.get("stride_A", k))
+        b = memory.read_operand(config["ptr_B"], k, n, config.get("stride_B", n))
         acc = int8_matmul(a, b, a_zp, b_zp)
         memory.write_matrix(config["ptr_C"], acc, config.get("stride_C", n))
 

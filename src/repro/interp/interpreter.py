@@ -38,6 +38,10 @@ def _loc_suffix(loc) -> str:
     return f" at {loc}" if loc is not None else ""
 
 
+#: what :attr:`AccfgRuntime._sites` holds for a record not resolved yet
+_UNRESOLVED = object()
+
+
 def _not_int(value) -> InterpreterError:
     return InterpreterError(
         f"expected an integer value, found {type(value).__name__}"
@@ -139,13 +143,18 @@ class AccfgRuntime:
         self.max_call_depth = 256
         self._state_counter = 0
         self._call_depth = 0
-        # Completed tokens (double-await detection), states invalidated by
+        # Awaited tokens (double-await detection), states invalidated by
         # accfg.reset, and a per-accelerator reset epoch so launches
-        # outstanding across a reset are caught.
+        # outstanding across a reset are caught: each launched token maps
+        # to its epoch until it is awaited.
         self._awaited: set[LaunchToken] = set()
         self._reset_states: set[StateHandle] = set()
         self._reset_epoch: dict[str, int] = {}
         self._token_epoch: dict[LaunchToken, int] = {}
+        #: id(record) -> the setup or launch site the simulator resolved
+        #: for it, or None where it runs as a field dict (the records stay
+        #: alive for the run, so their ids stay put)
+        self._sites: dict[int, object] = {}
 
     def _arity(self, fn) -> int:
         raise NotImplementedError
@@ -194,6 +203,13 @@ class AccfgRuntime:
 
     # -- accfg ops ---------------------------------------------------------
 
+    # Each setup and launch record is resolved once per run against the
+    # simulator (``CoSimulator.setup_site``/``launch_site``), after its
+    # values are checked, so a non-int value raises before an unknown
+    # accelerator does.  A resolved site takes the checked values as they
+    # are; any other record runs as a field dict, the recovery protocol's
+    # input under fault injection.
+
     def _setup(self, frame, record: tuple) -> None:
         accel, names, keys, out_key, in_key, loc, site = record
         # A state handle hashes by a Python call, so the membership test
@@ -201,9 +217,16 @@ class AccfgRuntime:
         reset = self._reset_states
         if reset and in_key is not None and frame[in_key] in reset:
             raise _reset_state_error("setup", accel, loc)
-        fields = _int_fields(frame, names, keys)
+        values = _int_values(frame, keys)
+        sim = self.sim
         try:
-            self.sim.exec_setup(accel, fields, site=site)
+            resolved = self._sites.get(id(record), _UNRESOLVED)
+            if resolved is _UNRESOLVED:
+                resolved = self._sites[id(record)] = sim.setup_site(accel, names)
+            if resolved is None:
+                sim.exec_setup(accel, dict(zip(names, values)), site)
+            else:
+                sim.exec_setup(accel, values, resolved)
         except (KeyError, FaultError) as error:
             raise _sim_error("setup", error, loc) from None
         self._state_counter += 1
@@ -214,9 +237,16 @@ class AccfgRuntime:
         reset = self._reset_states
         if reset and frame[state_key] in reset:
             raise _reset_state_error("launch", accel, loc)
-        fields = _int_fields(frame, names, keys)
+        values = _int_values(frame, keys)
+        sim = self.sim
         try:
-            token = self.sim.exec_launch(accel, fields, site=site)
+            resolved = self._sites.get(id(record), _UNRESOLVED)
+            if resolved is _UNRESOLVED:
+                resolved = self._sites[id(record)] = sim.launch_site(accel, names)
+            if resolved is None:
+                token = sim.exec_launch(accel, dict(zip(names, values)), site)
+            else:
+                token = sim.exec_launch(accel, values, resolved)
         except (KeyError, FaultError) as error:
             raise _sim_error("launch", error, loc) from None
         self._token_epoch[token] = self._reset_epoch.get(accel, 0)
@@ -229,13 +259,18 @@ class AccfgRuntime:
             raise InterpreterError(
                 f"await of a value that is not a token{_loc_suffix(loc)}"
             )
-        if token in self._awaited:
-            raise InterpreterError(
-                f"double await of a token on '{accel}' "
-                f"(the launch was already awaited){_loc_suffix(loc)}"
-            )
         epoch = self._reset_epoch.get(accel, 0)
-        if self._token_epoch.get(token, epoch) != epoch:
+        # A token is hashed once to leave the launched ones and once to
+        # join the awaited ones; one in neither is not this run's launch.
+        launched = self._token_epoch.pop(token, None)
+        if launched is None:
+            if token in self._awaited:
+                raise InterpreterError(
+                    f"double await of a token on '{accel}' "
+                    f"(the launch was already awaited){_loc_suffix(loc)}"
+                )
+            launched = epoch
+        if launched != epoch:
             raise InterpreterError(
                 f"await of a launch on '{accel}' that was "
                 f"discarded by accfg.reset{_loc_suffix(loc)}"
@@ -265,14 +300,18 @@ class AccfgRuntime:
         sim.charge(stream)
 
 
-def _int_fields(frame, names: tuple[str, ...], keys: tuple) -> dict[str, int]:
-    fields = {}
-    for name, key in zip(names, keys):
+def _int_values(frame, keys: tuple) -> list[int]:
+    """The values at ``keys``, each checked to be an int and read as an
+    exact one."""
+    values = []
+    for key in keys:
         value = frame[key]
-        if not isinstance(value, int):
-            raise _not_int(value)
-        fields[name] = value
-    return fields
+        if type(value) is not int:
+            if not isinstance(value, int):
+                raise _not_int(value)
+            value = int(value)
+        values.append(value)
+    return values
 
 
 def _reset_state_error(verb: str, accel: str, loc) -> InterpreterError:

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field
 class Attribute:
     """Base class for every attribute and type."""
 
+    #: the attribute's interned :func:`repro.ir.printer.format_attribute`
+    #: text, kept by :func:`repro.ir.printer.structural_key` on the instance
+    #: at its first key (not a field: equality and hashing ignore it)
+    _key_text = None
+
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
         return repr(self)
 

@@ -215,17 +215,16 @@ def structural_key(root: Operation) -> tuple:
     # A value is numbered at first sight by the count of values seen before.
     names: dict[SSAValue, int] = {}
     number = names.setdefault
-    # Keyed by id(): the module keeps its attributes alive for the call,
-    # and equal attributes format alike, so the memo only saves formatting.
-    # A hit is read inline, ``text(id(attr)) or formatted(attr)``, which
-    # saves a call per atom.
-    texts: dict[int, str] = {}
-    text = texts.get
+    # Each attribute keeps its text: attributes are frozen, and clones and
+    # modules built alike share them, so an attribute is formatted once
+    # for every key it enters.  A kept text is read inline,
+    # ``attr._key_text or formatted(attr)``, which saves a call per atom.
 
     def formatted(attr: Attribute) -> str:
         # Interned: keys held side by side (the trace cache keeps hundreds)
         # then share one string per distinct text.
-        texts[id(attr)] = atom = intern(format_attribute(attr))
+        atom = intern(format_attribute(attr))
+        object.__setattr__(attr, "_key_text", atom)
         return atom
 
     def emit(op: Operation) -> None:
@@ -234,22 +233,25 @@ def structural_key(root: Operation) -> tuple:
         append(op.op_name if isinstance(op, UnregisteredOp) else op.name)
         for operand in op._operands:
             append(number(operand, len(names)))
-            append(text(id(operand.type)) or formatted(operand.type))
+            type_ = operand.type
+            append(type_._key_text or formatted(type_))
         append(-1)
         if op.attributes:
             for key, value in op.attributes.items():
                 append(key)
-                append(text(id(value)) or formatted(value))
+                append(value._key_text or formatted(value))
         append(-2)
         for result in op.results:
-            append(text(id(result.type)) or formatted(result.type))
+            type_ = result.type
+            append(type_._key_text or formatted(type_))
         for region in op.regions:
             append(-3)
             for block in region.blocks:
                 append(-4)
                 for arg in block.args:
                     append(number(arg, len(names)))
-                    append(text(id(arg.type)) or formatted(arg.type))
+                    type_ = arg.type
+                    append(type_._key_text or formatted(type_))
                 append(-5)
                 for nested in block.ops:
                     emit(nested)

@@ -31,6 +31,50 @@ if TYPE_CHECKING:  # pragma: no cover
 _DEFAULT_COST_MODEL = HostCostModel()
 
 
+class SetupSite:
+    """One ``accfg.setup`` resolved against a fault-free simulator
+    (:meth:`CoSimulator.setup_site`): its device, its distinct field names
+    and the shared stream that writes them, with the stream's label."""
+
+    __slots__ = ("device", "names", "stream", "label")
+
+    def __init__(self, device: AcceleratorDevice, names: tuple[str, ...]) -> None:
+        self.device = device
+        self.names = names
+        self.stream = device.spec.setup_instrs_cached(names)
+        self.label = device.setup_label
+
+
+class LaunchSite:
+    """One ``accfg.launch`` resolved against a fault-free simulator
+    (:meth:`CoSimulator.launch_site`): its device and launch-queue depth,
+    its distinct launch-carried field names, and the shared streams it
+    charges (the fields' stream, None without fields, and the device's
+    launch stream), each with its label."""
+
+    __slots__ = (
+        "device",
+        "names",
+        "depth",
+        "field_stream",
+        "field_label",
+        "launch_stream",
+        "launch_label",
+    )
+
+    def __init__(self, device: AcceleratorDevice, names: tuple[str, ...]) -> None:
+        self.device = device
+        self.names = names
+        # A fault-free device never degrades to sequential configuration.
+        self.depth = device.queue_depth
+        self.field_stream = (
+            device.spec.launch_field_instrs_cached(names) if names else None
+        )
+        self.field_label = device.launch_config_label
+        self.launch_stream = device.launch_stream
+        self.launch_label = device.launch_label
+
+
 class CoSimulator:
     """Discrete-event co-simulation of one host plus its accelerators."""
 
@@ -94,6 +138,37 @@ class CoSimulator:
     @property
     def devices(self) -> dict[str, AcceleratorDevice]:
         return dict(self._devices)
+
+    def setup_site(
+        self, accelerator: str, names: tuple[str, ...]
+    ) -> SetupSite | None:
+        """A setup of the fields ``names`` on ``accelerator``, resolved once
+        for every time it runs (:meth:`exec_setup`).
+
+        None where the setup must run as a field dict instead: under fault
+        injection (the recovery protocol runs per write), and for names
+        that repeat or that the accelerator lacks (the dict path raises
+        that at the point it always has).  An unknown accelerator raises
+        :meth:`device`'s ``KeyError``, as :meth:`exec_setup` would.
+        """
+        return self._site(SetupSite, accelerator, names)
+
+    def launch_site(
+        self, accelerator: str, names: tuple[str, ...]
+    ) -> LaunchSite | None:
+        """A launch carrying the fields ``names`` on ``accelerator``,
+        resolved once for every time it runs (:meth:`exec_launch`); None
+        and ``KeyError`` as for :meth:`setup_site`."""
+        return self._site(LaunchSite, accelerator, names)
+
+    def _site(self, kind, accelerator: str, names: tuple[str, ...]):
+        device = self.device(accelerator)
+        if self.faults is not None or len(set(names)) != len(names):
+            return None
+        try:
+            return kind(device, names)
+        except KeyError:
+            return None
 
     # -- host instruction charging -----------------------------------------
 
@@ -171,16 +246,23 @@ class CoSimulator:
     def exec_setup(
         self,
         accelerator: str,
-        fields: dict[str, int],
-        site: "Operation | int | None" = None,
+        fields: "dict[str, int] | Sequence[int]",
+        site: "Operation | int | SetupSite | None" = None,
     ) -> None:
         """Perform one ``accfg.setup``: stall if required, then write.
 
         ``site`` names the originating op: the op itself or its site number
         (:func:`repro.dialects.accfg.config_sites`).  The recovery runtime
         hands it to the :class:`ReliancePlan` to plan minimal re-setup after
-        state loss.  It is ignored on the fault-free fast path.
+        state loss.  It is ignored on the fault-free fast path.  Or it is
+        the op's :meth:`setup_site`, and ``fields`` holds the exact int
+        value of each of the site's names, in order.
         """
+        if type(site) is SetupSite:
+            start = site.device.write_values(site.names, fields, self.host_time)
+            self.stall_until(start, "sequential-config stall")
+            self.charge(site.stream, site.label)
+            return
         device = self.device(accelerator)
         if self.faults is not None:
             self._faulty_setup(device, fields, site)
@@ -194,10 +276,32 @@ class CoSimulator:
     def exec_launch(
         self,
         accelerator: str,
-        launch_fields: dict[str, int] | None = None,
-        site: "Operation | int | None" = None,
+        launch_fields: "dict[str, int] | Sequence[int] | None" = None,
+        site: "Operation | int | LaunchSite | None" = None,
     ) -> LaunchToken:
-        """Perform one ``accfg.launch``; returns the completion token."""
+        """Perform one ``accfg.launch``; returns the completion token.
+
+        ``site`` is as for :meth:`exec_setup`: with the op's
+        :meth:`launch_site`, ``launch_fields`` holds the exact int value of
+        each of the site's names, in order.
+        """
+        if type(site) is LaunchSite:
+            device = site.device
+            # The queue's accept time, as ``device.accept_time`` reads it.
+            ends = device._launch_ends
+            depth = site.depth
+            when = ends[-depth] if len(ends) >= depth else self.host_time
+            self.stall_until(when, "launch barrier")
+            if launch_fields:
+                self.charge(site.field_stream, site.field_label)
+            if site.launch_stream:
+                self.charge(site.launch_stream, site.launch_label)
+            token = device.start(
+                self.host_time, site.names, launch_fields, self.functional
+            )
+            _, _, start, end, _ = token
+            self.timeline.record(accelerator, SpanKind.ACCEL, start, end, "macro-op")
+            return token
         device = self.device(accelerator)
         # The host must wait until the interface can accept a new launch:
         # with single-level staging that means the device is idle; deeper

@@ -85,6 +85,11 @@ class AcceleratorDevice:
         self.ack_stream = (sync_instr("launch-ack", spec.name),)
         self.ack_label = f"launch-ack {spec.name}"
         self._timing_fields = spec.timing_fields
+        #: launches the interface takes before the host must wait, while the
+        #: device configures concurrently (one otherwise)
+        self.queue_depth = (
+            max(1, spec.launch_queue_depth) if spec.concurrent_config else 1
+        )
         #: timing-field values -> (cycles, ops, memory bytes) of a launch
         self._timing: dict[tuple, tuple] = {}
         self.registers: dict[str, int] = {}
@@ -129,13 +134,19 @@ class AcceleratorDevice:
         later than ``now`` when a sequential device is still computing (the
         host stalls; paper Figure 2's idle region).
         """
+        return self.write_values(
+            tuple(fields), [int(value) for value in fields.values()], now
+        )
+
+    def write_values(self, names: tuple, values, now: float) -> float:
+        """:meth:`write_fields` of the registers ``names``, each set to the
+        exact int at its position in ``values``; the names are distinct."""
         start = now
         if not self.concurrent_now and self.is_busy(now):
             start = self.busy_until
         target = self.staged if self.concurrent_now else self.registers
-        for name, value in fields.items():
-            target[name] = int(value)
-        self.config_write_count += len(fields)
+        target.update(zip(names, values))
+        self.config_write_count += len(names)
         return start
 
     def effective_config(self) -> dict[str, int]:
@@ -168,11 +179,7 @@ class AcceleratorDevice:
         enqueue ``depth`` launches before it must wait for the oldest
         outstanding one to retire.
         """
-        depth = (
-            max(1, self.spec.launch_queue_depth)
-            if self.concurrent_now
-            else 1
-        )
+        depth = 1 if self.force_sequential else self.queue_depth
         if len(self._launch_ends) < depth:
             return now
         return max(now, self._launch_ends[-depth])
@@ -189,15 +196,30 @@ class AcceleratorDevice:
         on concurrent-configuration devices (only one computation in flight;
         Section 2.2 models single-level staging).
         """
-        start = max(now, self.busy_until)
+        if not launch_fields:
+            return self.start(now, (), (), functional)
+        values = [int(value) for value in launch_fields.values()]
+        return self.start(now, tuple(launch_fields), values, functional)
+
+    def start(
+        self, now: float, names: tuple, values, functional: bool = True
+    ) -> LaunchToken:
+        """:meth:`launch` with the launch-carried registers ``names``, each
+        set to the exact int at its position in ``values``; the names are
+        distinct.
+
+        The spec's ``execute`` reads the live register file, which it must
+        not change.
+        """
+        busy = self.busy_until
+        start = busy if busy > now else now
         spec = self.spec
         registers = self.registers
         if spec.concurrent_config and self.staged:
             registers.update(self.staged)
             self.staged.clear()
-        if launch_fields:
-            for name, value in launch_fields.items():
-                registers[name] = int(value)
+        if names:
+            registers.update(zip(names, values))
         # The timing is a function of the timing fields alone, so it is
         # computed once per tuple of their values (absent ones read None).
         key = tuple(map(registers.get, self._timing_fields))
@@ -214,7 +236,7 @@ class AcceleratorDevice:
         cycles, ops, memory_bytes = timing
         self.total_memory_bytes += memory_bytes
         if functional:
-            spec.execute(dict(registers), self.memory)
+            spec.execute(registers, self.memory)
         end = start + cycles
         self.busy_until = end
         self.launch_count += 1

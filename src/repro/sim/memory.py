@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Tile views a memory keeps for reuse (:meth:`Memory.read_matrix`,
-#: :meth:`Memory.write_matrix`); the memo is cleared when it fills.  A
-#: figure run touches at most 1,088 distinct tiles.
+#: :meth:`Memory.write_matrix`, :meth:`Memory.read_operand`); each memo is
+#: cleared when it fills.  A figure run touches at most 1,088 distinct
+#: tiles.
 TILE_MEMO_BOUND = 4096
 
 
@@ -50,7 +51,7 @@ class MemorySnapshot:
     order, exactly like the old list of copies.
 
     Direct writes to ``buffer.array`` bypass the write barrier; workloads
-    that scribble on their own arrays must do so before snapshotting.
+    write through :class:`Memory` (:meth:`Memory.clear` zeroes a buffer).
     """
 
     def __init__(self, memory: "Memory") -> None:
@@ -98,6 +99,13 @@ class Memory:
         #: stride, dtype) for a write; regions never move, so a view stays
         #: valid for the memory's life
         self._views: dict[tuple, np.ndarray] = {}
+        #: base address -> float64 image of an int8 region, built at the
+        #: region's first :meth:`read_operand` and updated by every write
+        self._images: dict[int, np.ndarray] = {}
+        #: views into the images: an operand's, keyed by (addr, rows, cols,
+        #: row stride), and the image side of a write into an imaged region,
+        #: keyed as the write's view is in ``_views``
+        self._image_views: dict[tuple, np.ndarray] = {}
 
     def _add(self, buffer: Buffer) -> None:
         dtype = buffer.array.dtype
@@ -145,18 +153,20 @@ class Memory:
         The benchmarks fan one built image out to many runs with this:
         addresses and allocation order are preserved exactly (the IR embeds
         them as constants), contents are copied buffer-by-buffer, and live
-        snapshots are *not* carried over — the clone starts with none.
+        snapshots are *not* carried over — the clone starts with none, and
+        with no tile view or float64 image.
         """
-        clone = Memory.__new__(Memory)
+        clone = Memory(alignment=self._alignment)
         clone._next = self._next
-        clone._alignment = self._alignment
-        clone._buffers = []
-        clone._regions = []
         for buffer in self._buffers:
             clone._add(Buffer(buffer.addr, buffer.array.copy()))
-        clone._snapshots = []
-        clone._views = {}
         return clone
+
+    def clear(self, buffer: Buffer) -> None:
+        """Zero ``buffer`` with one :meth:`write_matrix`, so snapshots and
+        float64 images see it."""
+        flat = buffer.array.reshape(1, -1)
+        self.write_matrix(buffer.addr, np.zeros_like(flat), flat.shape[1])
 
     def _align(self, addr: int) -> int:
         mask = self._alignment - 1
@@ -169,7 +179,9 @@ class Memory:
                 return buffer
         raise MemoryError_(f"address {addr:#x} is not inside any allocation")
 
-    def _flat_view(self, addr: int, dtype) -> tuple[np.ndarray, int]:
+    def _flat_view(self, addr: int, dtype) -> tuple[np.ndarray, int, int]:
+        """The flat view of the region holding ``addr``, the element offset
+        of ``addr`` in it, and the region's base address."""
         for base, end, flat, scalar, itemsize in self._regions:
             if base <= addr < end:
                 break
@@ -183,7 +195,7 @@ class Memory:
         offset_bytes = addr - base
         if offset_bytes % itemsize:
             raise MemoryError_(f"misaligned access at {addr:#x}")
-        return flat, offset_bytes // itemsize
+        return flat, offset_bytes // itemsize, base
 
     @staticmethod
     def _tile(
@@ -219,6 +231,16 @@ class Memory:
             views.clear()
         views[key] = tile
 
+    def _image_view(self, key: tuple, tile: np.ndarray) -> None:
+        """Keep a view into an image for later accesses.  Dropping the
+        image side of a write drops the writes' views too, so no write
+        resolved with an image goes on without it."""
+        views = self._image_views
+        if len(views) >= TILE_MEMO_BOUND:
+            views.clear()
+            self._views.clear()
+        views[key] = tile
+
     def read_matrix(
         self, addr: int, rows: int, cols: int, row_stride: int, dtype
     ) -> np.ndarray:
@@ -227,7 +249,7 @@ class Memory:
         tile = self._views.get(key)
         if tile is not None:
             return tile.copy()
-        flat, offset = self._flat_view(addr, dtype)
+        flat, offset, _ = self._flat_view(addr, dtype)
         tile = self._tile(flat, offset, rows, cols, row_stride)
         if tile is not None:
             self._view(key, tile)
@@ -243,10 +265,51 @@ class Memory:
             out[r] = flat[start : start + cols]
         return out
 
+    def read_operand(
+        self, addr: int, rows: int, cols: int, row_stride: int
+    ) -> np.ndarray:
+        """The int8 matrix ``read_matrix(addr, rows, cols, row_stride,
+        np.int8)`` reads, as float64 for an exact BLAS product
+        (:func:`repro.backends.base.int8_matmul`).
+
+        It is a view into a float64 image of the region, which the caller
+        must not write: the image is built at the region's first operand
+        read and every :meth:`write_matrix` into the region updates it, so
+        it always holds the region's values.  An access fails as the int8
+        read does; where that read copies row by row (overlapping rows,
+        empty shapes), this returns a float64 copy of it.
+        """
+        key = (addr, rows, cols, row_stride)
+        tile = self._image_views.get(key)
+        if tile is not None:
+            return tile
+        flat, offset, base = self._flat_view(addr, np.int8)
+        image = self._images.get(base)
+        if image is None:
+            image = self._images[base] = flat.astype(np.float64)
+            # Writes resolved before the image existed must now find it.
+            self._views.clear()
+        tile = self._tile(image, offset, rows, cols, row_stride)
+        if tile is None:
+            return self.read_matrix(addr, rows, cols, row_stride, np.int8).astype(
+                np.float64
+            )
+        self._image_view(key, tile)
+        return tile
+
     def write_matrix(
-        self, addr: int, values: np.ndarray, row_stride: int
+        self,
+        addr: int,
+        values: np.ndarray,
+        row_stride: int,
+        accumulate: bool = False,
     ) -> None:
-        """Write a matrix; ``row_stride`` in elements of the region dtype."""
+        """Write a matrix; ``row_stride`` in elements of the region dtype.
+
+        With ``accumulate``, ``values`` are added onto the matrix in place,
+        wrapping as numpy's addition in the region's dtype does; that is
+        what reading the matrix, adding, and writing the sum leaves.
+        """
         if self._snapshots:
             buffer = self.buffer_at(addr)
             for snap in self._snapshots:
@@ -254,20 +317,52 @@ class Memory:
         dtype = values.dtype
         key = (addr, values.shape, row_stride, dtype)
         tile = self._views.get(key)
-        if tile is not None:
-            tile[...] = values
-            return
-        flat, offset = self._flat_view(addr, dtype)
-        rows, cols = values.shape
-        tile = self._tile(flat, offset, rows, cols, row_stride)
-        if tile is not None:
+        if tile is None:
+            flat, offset, base = self._flat_view(addr, dtype)
+            rows, cols = values.shape
+            tile = self._tile(flat, offset, rows, cols, row_stride)
+            if tile is None:
+                if accumulate:
+                    # Overlapping rows: every row is read before any is
+                    # written, as a separate read would.
+                    values = values + self.read_matrix(
+                        addr, rows, cols, row_stride, dtype
+                    )
+                self._write_rows(flat, offset, base, addr, values, row_stride)
+                return
             self._view(key, tile)
+            image = self._images.get(base)
+            if image is not None:
+                self._image_view(
+                    key, self._tile(image, offset, rows, cols, row_stride)
+                )
+        if accumulate:
+            tile += values
+        else:
             tile[...] = values
-            return
-        for r in range(rows):
+        mirror = self._image_views.get(key)
+        if mirror is not None:
+            mirror[...] = tile
+
+    def _write_rows(
+        self,
+        flat: np.ndarray,
+        offset: int,
+        base: int,
+        addr: int,
+        values: np.ndarray,
+        row_stride: int,
+    ) -> None:
+        """Write ``values`` row by row, each row into the region's image
+        too, up to the first row that overruns the region."""
+        image = self._images.get(base)
+        cols = values.shape[1]
+        for r in range(values.shape[0]):
             start = offset + r * row_stride
             if start + cols > flat.size:
                 raise MemoryError_(
                     f"matrix write at {addr:#x} overruns its region (row {r})"
                 )
             flat[start : start + cols] = values[r]
+            if image is not None:
+                image[start : start + cols] = flat[start : start + cols]

@@ -52,7 +52,7 @@ class MatmulWorkload:
         return bool((self.result() == self.expected()).all())
 
     def reset_output(self) -> None:
-        self.c.array[...] = 0
+        self.memory.clear(self.c)
 
 
 def _make_inputs(size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

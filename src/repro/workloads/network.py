@@ -105,9 +105,8 @@ class MLPWorkload:
         return bool((self.output.array == self.expected()).all())
 
     def reset_output(self) -> None:
-        self.output.array[...] = 0
-        for buffer in self.scratch:
-            buffer.array[...] = 0
+        for buffer in (self.output, *self.scratch):
+            self.memory.clear(buffer)
 
 
 def build_mlp(

@@ -3,11 +3,15 @@ kernels that use it, against the int32 expressions they replaced.
 
 The helper runs a product through float64 BLAS only while the float64
 result is provably exact; past that bound it must wrap as numpy's int32
-product does.  The reference here is the old code, kept verbatim: the
-int32 product expressions, and the Gemmini and OpenGeMM kernels that held
-them.  Swapped in for the current kernels, they must leave the same
-memory image on every figure pipeline and on generated programs of every
-backend, on both engines.
+product does.  The kernels take their int8 operands as views of
+``Memory``'s float64 images (``Memory.read_operand``) and Gemmini
+accumulates onto C in place.  The reference here is the old code, kept
+verbatim: the int32 product expressions, and the Gemmini and OpenGeMM
+kernels that held them, reading int8 copies and writing a read-add sum.
+Swapped in for the current kernels, they must leave the same memory image
+on every figure pipeline and on generated programs of every backend, on
+both engines, with zero points, loop_ws transposes and a product past the
+bound.
 """
 
 import contextlib
@@ -16,7 +20,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.backends import GEMMINI, OPENGEMM, GemminiSpec, OpenGeMMSpec
+from repro.backends import (
+    GEMMINI,
+    OPENGEMM,
+    GemminiSpec,
+    OpenGeMMSpec,
+    get_accelerator,
+)
 from repro.backends.base import int8_matmul
 from repro.backends.gemmini import ARRAY_DIM, OP_COMPUTE, OP_LOOP_WS
 from repro.engine import run_module_traced
@@ -24,6 +34,7 @@ from repro.experiments import common, fig10_gemmini, fig11_opengemm
 from repro.interp import InterpreterError, run_module
 from repro.passes import pipeline_by_name
 from repro.sim import CoSimulator, Memory
+from repro.sim.metrics import collect_metrics
 from repro.testing.generator import PROFILES, build_spec, generate_spec
 from repro.workloads import build_gemmini_matmul, build_opengemm_matmul
 
@@ -301,6 +312,82 @@ def test_loop_ws_bias_wraps_as_before(c_value, operand, relu):
     assert_same_image(*on_both(run))
 
 
+@pytest.mark.parametrize("a_t, b_t", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("bias", [0, 1])
+def test_loop_ws_transposes_as_before(a_t, b_t, bias):
+    """Padded, strided and transposed operands, with and without a bias;
+    each A and B tile is read twice, so the second product reads a kept
+    view.  The kernel reads a transposed operand in the shape of the
+    other, so the padded tile is square."""
+
+    def run():
+        memory = Memory()
+        rng = np.random.default_rng(16 * a_t + 4 * b_t + bias)
+        a = memory.place(rng.integers(-128, 128, (48, 40), dtype=np.int8))
+        b = memory.place(rng.integers(-128, 128, (40, 56), dtype=np.int8))
+        d = memory.place(rng.integers(-1000, 1000, (32, 48), dtype=np.int32))
+        c = memory.alloc((32, 48), np.int32)
+        config = {
+            "op": OP_LOOP_WS,
+            "A": a.addr + 3,
+            "B": b.addr + 56 + 1,
+            "D": d.addr if bias else 0,
+            "C": c.addr,
+            "I": 2,
+            "J": 2,
+            "K": 2,
+            "pad_I": 1,
+            "pad_J": 1,
+            "pad_K": 1,
+            "stride_A": 40,
+            "stride_B": 56,
+            "stride_D": 48,
+            "stride_C": 48,
+            "A_transpose": a_t,
+            "B_transpose": b_t,
+            "act": 1,
+        }
+        GEMMINI.execute(config, memory)
+        first = image(memory)
+        GEMMINI.execute({**config, "act": 0}, memory)
+        return first, image(memory)
+
+    (new_first, new_second), (old_first, old_second) = on_both(run)
+    assert_same_image(new_first, old_first)
+    assert_same_image(new_second, old_second)
+
+
+@pytest.mark.parametrize("a_zp, b_zp", [(0, 0), (255, 255)])
+def test_opengemm_past_the_bound_as_before(a_zp, b_zp):
+    """One term past the float64 bound the kernel's product wraps as the
+    old int32 product did."""
+    k = k_at_bound(a_zp, b_zp) + 1
+
+    def run():
+        memory = Memory()
+        a_values, b_values = operands("mixed", 8, k, 8)
+        a = memory.place(a_values)
+        b = memory.place(b_values)
+        c = memory.alloc((8, 8), np.int32)
+        config = {
+            "M": 8,
+            "K": k,
+            "N": 8,
+            "ptr_A": a.addr,
+            "ptr_B": b.addr,
+            "ptr_C": c.addr,
+            "subtractions": a_zp | (b_zp << 8),
+        }
+        OPENGEMM.execute(config, memory)
+        return image(memory)
+
+    new, old = on_both(run)
+    assert_same_image(new, old)
+    wide = operands("mixed", 8, k, 8)
+    exact = (wide[0].astype(np.int64) - a_zp) @ (wide[1].astype(np.int64) - b_zp)
+    assert not np.array_equal(new[2], exact)  # the sums left int32
+
+
 @pytest.mark.parametrize(
     "subtractions", [0, 1, 2 << 8, 255 | (255 << 8), 7 | (1 << 8)]
 )
@@ -348,6 +435,29 @@ def test_figure_runs_leave_the_old_image(build, pipeline, size):
         result = common.run_workload(workload, pipeline)
         assert result.correct
         return result.metrics, image(workload.memory)
+
+    (new_metrics, new_image), (old_metrics, old_image) = on_both(run)
+    assert new_metrics == old_metrics
+    assert_same_image(new_image, old_image)
+
+
+@pytest.mark.parametrize("size", [16, 32])
+@pytest.mark.parametrize(
+    "build, pipeline",
+    FIGURE_PIPELINES,
+    ids=[f"{build.__name__}-{pipeline}" for build, pipeline in FIGURE_PIPELINES],
+)
+def test_figure_runs_on_the_tree_engine_leave_the_old_image(build, pipeline, size):
+    def run():
+        workload = build(size)
+        pipeline_by_name(pipeline).run(workload.module)
+        sim = CoSimulator(
+            memory=workload.memory,
+            cost_model=get_accelerator(workload.accelerator).host_cost_model(),
+        )
+        run_module(workload.module, sim, args=workload.main_args)
+        assert workload.check()
+        return collect_metrics(sim, workload.accelerator), image(workload.memory)
 
     (new_metrics, new_image), (old_metrics, old_image) = on_both(run)
     assert new_metrics == old_metrics

@@ -70,10 +70,22 @@ class TestInequality:
         assert structural_key(looped) != structural_key(parse(PROGRAM))
 
 
+ACCFG_PROGRAM = """
+func.func @main(%x : i64) -> () {
+  %c = arith.constant 3 : i64
+  %s = accfg.setup on "toyvec" ("n" = %x : i64, "op" = %c : i64) : !accfg.state<"toyvec">
+  %t = accfg.launch %s : !accfg.token<"toyvec">
+  accfg.await %t
+  func.call @g(%x) : (i64) -> ()
+  func.return
+}
+"""
+
+
 class TestAtomInterning:
     def test_atom_ids_are_stable_across_modules(self):
-        # Attributes and types enter the key as their text, memoized only
-        # within one call, so equal modules get equal keys every time.
+        # Attributes and types enter the key as their text, kept on each
+        # attribute, so equal modules get equal keys every time.
         first = structural_key(parse(PROGRAM))
         for _ in range(3):
             assert structural_key(parse(PROGRAM)) == first
@@ -81,18 +93,37 @@ class TestAtomInterning:
     def test_equal_keys_share_their_strings(self):
         # The trace cache holds hundreds of keys side by side; each distinct
         # atom text is one string among them, whatever module it came from.
-        text = """
-        func.func @main(%x : i64) -> () {
-          %c = arith.constant 3 : i64
-          %s = accfg.setup on "toyvec" ("n" = %x : i64, "op" = %c : i64) : !accfg.state<"toyvec">
-          %t = accfg.launch %s : !accfg.token<"toyvec">
-          accfg.await %t
-          func.call @g(%x) : (i64) -> ()
-          func.return
-        }
-        """
+        text = ACCFG_PROGRAM
         first, second = structural_key(parse(text)), structural_key(parse(text))
         assert first == second
         strings = [(a, b) for a, b in zip(first, second) if isinstance(a, str)]
         assert len(strings) > 10
         assert all(a is b for a, b in strings)
+
+    def test_a_clone_formats_no_attribute_again(self, monkeypatch):
+        """Each attribute keeps its text: keying a clone, which shares the
+        attributes, formats none of them, and a new attribute is formatted
+        once however often it is keyed."""
+        from repro.ir import printer
+
+        module = parse(ACCFG_PROGRAM)
+        key = structural_key(module)
+        formatted = []
+        original = printer.format_attribute
+
+        def counting(attr):
+            formatted.append(attr)
+            return original(attr)
+
+        monkeypatch.setattr(printer, "format_attribute", counting)
+        clone = module.clone()
+        assert structural_key(clone) == key
+        assert formatted == []
+        constant = next(op for op in clone.walk() if op.name == "arith.constant")
+        constant.attributes["value"] = value = IntegerAttr(4, i64)
+        for _ in range(2):
+            assert structural_key(clone) != key
+        assert formatted == [value]
+        # The kept text is the attribute's text; equality ignores it.
+        assert value._key_text == original(value)
+        assert value == IntegerAttr(4, i64) and hash(value) == hash(IntegerAttr(4, i64))

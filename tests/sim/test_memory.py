@@ -337,3 +337,143 @@ class TestTileMemo:
         for index in range(count - 1, -1, -1):
             mem.write_matrix(buf.addr + 4 * index, np.full((1, 1), -index, np.int32), 1)
         assert buf.array[:count].tolist() == [-index for index in range(count)]
+
+
+class TestOperandImages:
+    """``read_operand`` serves an int8 tile as a float64 view of its
+    region's image; every write through ``write_matrix`` keeps the image
+    equal to the region, and every access fails as the int8 read does."""
+
+    @staticmethod
+    def _error(access) -> str:
+        with pytest.raises(MemoryError_) as error:
+            access()
+        return str(error.value)
+
+    @staticmethod
+    def _as_read(mem, addr, rows, cols, row_stride):
+        return mem.read_matrix(addr, rows, cols, row_stride, np.int8).astype(np.float64)
+
+    @pytest.mark.parametrize("row_stride", [9, 4, 3, 1])
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (0, 4), (3, 0)])
+    def test_an_operand_is_the_int8_tile_in_float64(self, shape, row_stride):
+        mem = Memory()
+        buf = mem.place(np.arange(-20, 20, dtype=np.int8))
+        for _ in range(2):  # a first and a kept view
+            tile = mem.read_operand(buf.addr + 2, *shape, row_stride)
+            assert tile.dtype == np.float64 and tile.shape == shape
+            assert (tile == self._as_read(mem, buf.addr + 2, *shape, row_stride)).all()
+
+    def test_a_write_into_an_operand_region_reaches_the_product(self):
+        from repro.backends import OPENGEMM
+
+        mem = Memory()
+        a = mem.place(np.arange(64, dtype=np.int8).reshape(8, 8))
+        b = mem.place(np.eye(8, dtype=np.int8))
+        c = mem.alloc((8, 8), np.int32)
+        config = {"M": 8, "K": 8, "N": 8, "ptr_A": a.addr, "ptr_B": b.addr, "ptr_C": c.addr}
+        # A write view kept before the image exists must find it later.
+        mem.write_matrix(a.addr, np.full((2, 8), 3, np.int8), 8)
+        OPENGEMM.execute(config, mem)
+        assert (c.array == a.array).all()
+        for values, addr, stride in (
+            (np.full((2, 8), -5, np.int8), a.addr, 8),  # the kept write view
+            (np.full((3, 2), 7, np.int8), a.addr + 8 * 4 + 1, 8),  # a new one
+            (np.full((3, 4), 9, np.int8), a.addr + 40, 2),  # overlapping rows
+        ):
+            mem.write_matrix(addr, values, stride)
+            OPENGEMM.execute(config, mem)
+            assert (c.array == a.array).all()
+            assert (mem.read_operand(a.addr, 8, 8, 8) == a.array).all()
+
+    def test_a_partial_write_before_an_overrun_reaches_the_image(self):
+        mem = Memory()
+        buf = mem.alloc(16, np.int8)
+        mem.read_operand(buf.addr, 2, 8, 8)
+        with pytest.raises(MemoryError_, match=r"overruns its region \(row 3\)"):
+            mem.write_matrix(buf.addr, np.ones((4, 4), np.int8), 5)
+        assert (mem.read_operand(buf.addr, 2, 8, 8) == buf.array.reshape(2, 8)).all()
+        assert buf.array[:14].sum() == 12
+
+    def test_an_access_with_another_dtype_raises_as_before(self):
+        mem = Memory()
+        ints = mem.place(np.arange(16, dtype=np.int32))
+        bytes_ = mem.place(np.arange(16, dtype=np.int8))
+        fresh = mem.duplicate()
+        mem.read_operand(bytes_.addr, 2, 2, 4)
+        message = self._error(lambda: mem.read_operand(ints.addr, 2, 2, 4))
+        assert message == self._error(
+            lambda: fresh.read_matrix(ints.addr, 2, 2, 4, np.int8)
+        )
+        assert "with dtype int8 but region holds int32" in message
+        for dtype in (np.int32, "int16"):
+            assert self._error(
+                lambda: mem.read_matrix(bytes_.addr, 2, 2, 4, dtype)
+            ) == self._error(lambda: fresh.read_matrix(bytes_.addr, 2, 2, 4, dtype))
+        values = np.ones((2, 2), np.int32)
+        assert self._error(
+            lambda: mem.write_matrix(bytes_.addr, values, 4)
+        ) == self._error(lambda: fresh.write_matrix(bytes_.addr, values, 4))
+        overrun = self._error(lambda: mem.read_operand(bytes_.addr, 4, 4, 5))
+        assert overrun == self._error(
+            lambda: fresh.read_matrix(bytes_.addr, 4, 4, 5, np.int8)
+        )
+        assert "(row 3, stride 5)" in overrun
+
+    def test_duplicate_starts_without_images(self):
+        mem = Memory()
+        buf = mem.place(np.arange(16, dtype=np.int8))
+        kept = mem.read_operand(buf.addr, 2, 2, 4)
+        clone = mem.duplicate()
+        assert clone._images == {} and clone._image_views == {}
+        clone.write_matrix(buf.addr, np.full((2, 2), 9, np.int8), 4)
+        assert clone.read_operand(buf.addr, 2, 2, 4).tolist() == [[9, 9], [9, 9]]
+        assert mem.read_operand(buf.addr, 2, 2, 4).tolist() == [[0, 1], [4, 5]]
+        assert kept.tolist() == [[0, 1], [4, 5]]
+        for image in clone._images.values():
+            assert not np.shares_memory(image, mem._images[buf.addr])
+
+    def test_a_snapshot_before_an_in_place_accumulation_keeps_the_old_c(self):
+        mem = Memory()
+        c = mem.place(np.arange(16, dtype=np.int32).reshape(4, 4))
+        mem.write_matrix(c.addr, np.ones((2, 2), np.int32), 4, accumulate=True)
+        before = mem.snapshot()
+        mem.write_matrix(c.addr, np.full((2, 2), 10, np.int32), 4, accumulate=True)
+        old = np.arange(16, dtype=np.int32).reshape(4, 4)
+        old[:2, :2] += 1
+        assert (before[0] == old).all()
+        assert c.array[:2, :2].tolist() == [[11, 12], [15, 16]]
+
+    @pytest.mark.parametrize("row_stride", [5, 4, 3])
+    @pytest.mark.parametrize("start", [0, 2**31 - 2])
+    def test_accumulation_is_read_add_write(self, start, row_stride):
+        """In place where the rows are apart, read first where they overlap;
+        int32 sums wrap."""
+        mem = Memory()
+        c = mem.place(np.arange(start, start + 20, dtype=np.int32))
+        fresh = mem.duplicate()
+        values = np.arange(1, 13, dtype=np.int32).reshape(3, 4)
+        for _ in range(2):  # a first and a kept view
+            mem.write_matrix(c.addr, values, row_stride, accumulate=True)
+            summed = values + fresh.read_matrix(c.addr, 3, 4, row_stride, np.int32)
+            fresh.write_matrix(c.addr, summed, row_stride)
+            assert (c.array == fresh.buffers[0].array).all()
+
+    def test_more_operand_tiles_than_the_bound(self):
+        from repro.sim.memory import TILE_MEMO_BOUND
+
+        mem = Memory()
+        count = TILE_MEMO_BOUND + 300
+        buf = mem.alloc(count + 1, np.int8)
+        for index in range(count):
+            mem.write_matrix(buf.addr + index, np.full((1, 2), index % 7, np.int8), 2)
+        for rounds in range(2):
+            for index in range(count):
+                tile = mem.read_operand(buf.addr + index, 1, 2, 2)
+                assert (tile == buf.array[index : index + 2]).all()
+                assert len(mem._image_views) <= TILE_MEMO_BOUND
+            # Writes through kept and evicted views alike reach the image.
+            for index in range(count - 1, -1, -1):
+                values = np.full((1, 2), (index + rounds) % 5 - 2, np.int8)
+                mem.write_matrix(buf.addr + index, values, 2)
+        assert (mem._images[buf.addr] == buf.array).all()

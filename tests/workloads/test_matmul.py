@@ -52,6 +52,37 @@ class TestOpenGeMMWorkload:
         wl.reset_output()
         assert not wl.check()
 
+    def test_reset_output_writes_through_memory(self):
+        """A snapshot taken before the reset keeps the product, and a tile
+        accumulated after it reads the zeros."""
+        from repro.backends import GEMMINI
+        from repro.backends.gemmini import OP_COMPUTE
+
+        wl = build_gemmini_matmul(32)
+        run_workload(wl, "full")
+        product = wl.c.array.copy()
+        before = wl.memory.snapshot()
+        wl.reset_output()
+        assert not wl.c.array.any()
+        (index,) = [i for i, b in enumerate(wl.memory.buffers) if b is wl.c]
+        assert (before[index] == product).all()
+        GEMMINI.execute(
+            {
+                "op": OP_COMPUTE,
+                "ld_addr": wl.a.addr,
+                "preload_addr": wl.b.addr,
+                "st_addr": wl.c.addr,
+                "stride_A": 32,
+                "stride_B": 32,
+                "stride_C": 32,
+                "acc": 1,
+            },
+            wl.memory,
+        )
+        tile = wl.a.array[:16, :16].astype(np.int32) @ wl.b.array[:16, :16]
+        assert (wl.c.array[:16, :16] == tile).all()
+        assert not wl.c.array[16:].any()
+
 
 class TestGemminiFineGrainedWorkload:
     def test_ir_verifies(self):

@@ -89,3 +89,38 @@ class TestOptimizationGains:
         assert (
             dedup_sim.trace.config_bytes() < baseline_sim.trace.config_bytes()
         )
+
+
+class TestResetOutput:
+    """``reset_output`` zeroes through ``Memory``: a snapshot taken before
+    keeps the old contents, and a product afterwards reads the zeros."""
+
+    def test_snapshot_keeps_and_product_reads_the_reset(self):
+        from repro.backends import OPENGEMM
+
+        workload, _ = run_mlp([16, 24, 8], "full")
+        memory = workload.memory
+        (mirror,) = [b for b in workload.scratch if b.array.dtype == np.int8]
+        assert mirror.addr in memory._images  # the second layer read it
+        cleared = (workload.output, *workload.scratch)
+        old = [buffer.array.copy() for buffer in cleared]
+        assert any(values.any() for values in old)
+        before = memory.snapshot()
+        workload.reset_output()
+        index = {id(b): i for i, b in enumerate(memory.buffers)}
+        for buffer, values in zip(cleared, old):
+            assert (before[index[id(buffer)]] == values).all()
+            assert not buffer.array.any()
+        out = memory.alloc((8, 8), np.int32)
+        OPENGEMM.execute(
+            {
+                "M": 8,
+                "K": 24,
+                "N": 8,
+                "ptr_A": mirror.addr,
+                "ptr_B": workload.weights[1].addr,
+                "ptr_C": out.addr,
+            },
+            memory,
+        )
+        assert not out.array.any()
